@@ -199,6 +199,14 @@ def _validate_order_algebra(alg, lat: FinLattice, kind: str):
                     raise AxiomError(f"dual pseudocomplement law fails at "
                                      f"({x},{y})")
     if kind == "dp":
+        # Varlet's conditions and the dual hold for distributive lattices
+        meet, join = lat.meet, lat.join
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+                        raise AxiomError(f"distributive law fails at "
+                                         f"({x},{y},{z})")
         for x in range(n):
             for y in range(n):
                 if (lat.meet[x][y] == lat.zero) != lat.leq(y, alg.neg(x)):

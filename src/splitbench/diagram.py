@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
-from .lattice import FinLattice
 from .poset import FinPoset, bits
 
 ASSIGNMENT_CAP = 2_000_000
@@ -492,22 +491,26 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             if small else "")
     report = WitnessReport("cirl", a.size, exempt=False, note=note)
     n = info.depth
+    built_for = None
     for i in range(i_max + 1):
+        # only the witness search depends on i; the rest depends on need
         need = max(n + 1, 2 ** i + 1)
-        exp = expand_to_depth(a, need)
-        e, m = exp.algebra, exp.depth
-        e_info = monolith_info(e)
-        p = _first_prime_at_least(e.size)
-        hoop = wajsberg_hoop(p + 1)
-        big = truncated_product(e, hoop)
-        w = _canonical_tuple(a, e, exp.embedding, e_info, hoop, big)
+        if need != built_for:
+            built_for = need
+            exp = expand_to_depth(a, need)
+            e = exp.algebra
+            p = _first_prime_at_least(e.size)
+            hoop = wajsberg_hoop(p + 1)
+            big = truncated_product(e, hoop)
+            w = _canonical_tuple(a, e, exp.embedding, monolith_info(e),
+                                 hoop, big)
+            excluded = None if small else not in_hs(a, big, sig)
         witness = delta_power_witness(a, big, i, sig, candidates=[w])
-        excluded = None if small else not in_hs(a, big, sig)
         report.entries.append(WitnessEntry(
             i=i, b_size=big.size,
             delta_witness_found=witness is not None,
             excluded=excluded,
-            detail={"expansion_size": e.size, "expansion_depth": m,
+            detail={"expansion_size": e.size, "expansion_depth": exp.depth,
                     "prime": p, "canonical_tuple": list(w)},
         ))
     return report
@@ -534,22 +537,18 @@ def _canonical_tuple(a, e, embedding, e_info, hoop, big):
 
 
 def _pair_index(e, hoop, big):
-    """Recover the pair labelling of a truncated product's elements."""
-    pairs = {}
-    k = 0
-    e_info_coatom = None
-    from .residuated import monolith_info
+    """Recover the pair labelling of a truncated product's elements.
 
-    e_info_coatom = monolith_info(e).coatom
-    q = monolith_info(hoop).coatom
-    cone_e = [x for x in range(e.size) if e.leq(x, e_info_coatom)]
-    cone_h = [y for y in range(hoop.size) if hoop.leq(y, q)]
-    for x in cone_e:
-        for y in cone_h:
-            pairs[(x, y)] = k
-            k += 1
-    pairs[(e.one, hoop.one)] = k
-    assert k + 1 == big.size
+    Both factors are SI, so each coatom lies above every element but the
+    top and each cone is everything except ``one``, in ascending order.
+    """
+    pairs = {}
+    for x in range(e.size):
+        for y in range(hoop.size):
+            if x != e.one and y != hoop.one:
+                pairs[(x, y)] = len(pairs)
+    pairs[(e.one, hoop.one)] = len(pairs)
+    assert len(pairs) == big.size
     return pairs
 
 
@@ -562,7 +561,7 @@ def _first_prime_at_least(n: int) -> int:
 
 
 def _witness_suite_order(a, i_max, sig) -> WitnessReport:
-    from .duality import UpSetAlgebra
+    from .duality import UpSetAlgebra, _as_up_set_algebra
     from .hplus_witness import (build_witness_algebra, diagram_final_check,
                                 fence_for_target, never_maps_onto_check)
 
@@ -588,29 +587,6 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
             detail={"carrier_size": carrier, "fence_case": fence.case},
         ))
     return report
-
-
-def _as_up_set_algebra(alg):
-    """Rebuild a table algebra as the up-set algebra of its dual.
-
-    Any finite algebra on a distributive lattice is isomorphic to one of
-    these, so only the carrier representation changes.
-    """
-    from .duality import dual_poset, up_set_algebra
-
-    rows = []
-    for x in alg.elements:
-        row = 0
-        for y in alg.elements:
-            if alg.leq(x, y):
-                row |= 1 << y
-        rows.append(row)
-    lat = FinLattice(FinPoset(rows))
-    base, _ = dual_poset(lat)
-    rebuilt = up_set_algebra(base)
-    if rebuilt.size != alg.size:
-        raise BadParameter("carrier is not the up-set lattice of its dual")
-    return rebuilt
 
 
 def double_point(p: FinPoset):

@@ -382,85 +382,53 @@ _SIGNATURE_OPS = {
 
 # -- congruences of double p-algebras (for the regularity check) ----------
 
-_DP_OPS = (("meet", 2), ("join", 2), ("neg", 1), ("dpc", 1))
+CONGRUENCE_CAP = 256
 
 
-def _principal_congruence(alg, elements, index, seed_pairs):
-    """Partition generated by seed_pairs, closed under the dp operations."""
-    parent = list(range(len(elements)))
+def _closed_subsets(x: FinPoset) -> set[int]:
+    """Subsets Y of x with min(down y) and max(up y) inside Y for y in Y.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    work = []
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            work.append((ri, rj))
-
-    for a, b in seed_pairs:
-        union(index[a], index[b])
-    while work:
-        i, j = work.pop()
-        a, b = elements[i], elements[j]
-        for name, arity in _DP_OPS:
-            fn = getattr(alg, name)
-            if arity == 1:
-                union(index[fn(a)], index[fn(b)])
-            else:
-                for c in elements:
-                    union(index[fn(a, c)], index[fn(b, c)])
-    return tuple(find(i) for i in range(len(elements)))
-
-
-def _congruence_classes(rep_vector):
-    classes = {}
-    for i, r in enumerate(rep_vector):
-        classes.setdefault(r, []).append(i)
-    return frozenset(frozenset(c) for c in classes.values())
-
-
-def dp_congruences(alg, cap: int = 64) -> list[frozenset]:
-    """All congruences of the double-p reduct, as sets of classes.
-
-    Principal congruences are closed under pairwise join; sizes beyond
-    the cap are refused since the closure is quadratic in the carrier.
+    Each point's reach set is the least such Y containing it, and every
+    such Y is the union of the reach sets of its points.
     """
-    elements = list(alg.elements)
-    if len(elements) > cap:
-        raise SizeError(f"congruence enumeration capped at {cap} elements")
-    index = {e: i for i, e in enumerate(elements)}
-    seen = set()
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            vec = _principal_congruence(alg, elements, index,
-                                        [(elements[i], elements[j])])
-            seen.add(_congruence_classes(vec))
-    identity = frozenset(frozenset([i]) for i in range(len(elements)))
-    seen.add(identity)
-    # close under join: join = congruence generated by the union's pairs
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for c1 in frontier:
-            for c2 in list(seen):
-                pairs = []
-                for cls in (*c1, *c2):
-                    members = sorted(cls)
-                    pairs.extend((elements[members[0]], elements[m])
-                                 for m in members[1:])
-                vec = _principal_congruence(alg, elements, index, pairs)
-                j = _congruence_classes(vec)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(seen, key=lambda c: (len(c), sorted(map(sorted, c))))
+    mins, maxs = x.minimals(), x.maximals()
+    reach = set()
+    for y in range(x.size):
+        r, frontier = 0, 1 << y
+        while frontier:
+            r |= frontier
+            step = 0
+            for z in bits(frontier):
+                step |= (x.down[z] & mins) | (x.up[z] & maxs)
+            frontier = step & ~r
+        reach.add(r)
+    closed = {0}
+    for r in reach:
+        closed |= {y | r for y in closed}
+    return closed
+
+
+def dp_congruences(alg: UpSetAlgebra) -> list[frozenset]:
+    """All congruences of the double-p reduct, as sets of classes of
+    indices into ``alg.elements``.
+
+    Finite Priestley duality (Priestley 1975): the congruences of Up(X)
+    as a double p-algebra correspond to the closed subsets Y of X, and
+    up-sets U, V are congruent modulo Y iff U & Y == V & Y.
+    """
+    if not isinstance(alg, UpSetAlgebra):
+        raise BadParameter("dp_congruences needs an UpSetAlgebra")
+    elements = alg.elements
+    if len(elements) > CONGRUENCE_CAP:
+        raise SizeError(f"congruence enumeration capped at "
+                        f"{CONGRUENCE_CAP} elements")
+    out = []
+    for y in _closed_subsets(alg.base):
+        classes = {}
+        for i, u in enumerate(elements):
+            classes.setdefault(u & y, []).append(i)
+        out.append(frozenset(frozenset(c) for c in classes.values()))
+    return sorted(out, key=lambda c: (len(c), sorted(map(sorted, c))))
 
 
 @dataclass(frozen=True)
@@ -477,82 +445,55 @@ class VarletReport:
                     self.distributive_identity}) == 1
 
 
-def varlet_report(alg, congruence_cap: int = 64) -> VarletReport:
-    """The four regularity conditions, each computed independently.
+def varlet_report(alg) -> VarletReport:
+    """The four regularity conditions, each on its own code path.
 
-    Works for any algebra exposing meet/join/neg/dpc over a finite
-    element list (up-set algebras or explicit tables).
+    Regularity comes from the congruence classes (the min/max closure
+    of ``dp_congruences``), determination from the pseudocomplements,
+    the height from the longest chain of the base, and the identity
+    meet(dpc(a), a) <= join(b, neg(b)) from the operations.  None reuses another,
+    so their agreement is a check of Varlet's theorem.  A table algebra
+    is dualized once; its lattice is distributive by validation, and on
+    up-sets meet and join are & and |, so only the identity is checked.
     """
-    elements = list(alg.elements)
+    if not isinstance(alg, UpSetAlgebra):
+        alg = _as_up_set_algebra(alg)
+    elements = alg.elements
 
-    cons = dp_congruences(alg, congruence_cap)
-    regular = True
-    class_sets = [set(c) for c in cons]
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            if class_sets[i] & class_sets[j]:
-                regular = False
-                break
-        if not regular:
-            break
+    class_sets = [set(c) for c in dp_congruences(alg)]
+    regular = not any(class_sets[i] & class_sets[j]
+                      for i in range(len(class_sets))
+                      for j in range(i + 1, len(class_sets)))
 
-    determined = True
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            if alg.neg(a) == alg.neg(b) and alg.dpc(a) == alg.dpc(b):
-                determined = False
-                break
-        if not determined:
-            break
+    pcs = {(alg.neg(a), alg.dpc(a)) for a in elements}
+    determined = len(pcs) == len(elements)
 
-    height_ok = _join_prime_poset_height(alg, elements) <= 1
+    height_ok = alg.base.height() <= 1
 
-    identity = True
-    distributive = True
+    lhs, rhs = 0, alg.one
     for a in elements:
-        for b in elements:
-            if not alg.leq(alg.meet(alg.dpc(a), a),
-                           alg.join(b, alg.neg(b))):
-                identity = False
-                break
-            for c in elements:
-                if alg.meet(a, alg.join(b, c)) != \
-                        alg.join(alg.meet(a, b), alg.meet(a, c)):
-                    distributive = False
-                    break
-            if not distributive:
-                break
-        if not identity or not distributive:
-            break
+        lhs |= alg.meet(alg.dpc(a), a)
+        rhs &= alg.join(a, alg.neg(a))
+    identity = alg.leq(lhs, rhs)
 
-    return VarletReport(regular, determined, height_ok,
-                        distributive and identity)
+    return VarletReport(regular, determined, height_ok, identity)
 
 
-def _join_prime_poset_height(alg, elements) -> int:
-    """Height of the ordered set of join-prime elements.
+def _as_up_set_algebra(alg) -> UpSetAlgebra:
+    """Rebuild a table algebra as the up-set algebra of its dual.
 
-    Principal filters of a finite lattice are exactly the filters, and a
-    principal filter is prime iff its generator is join-prime; this is
-    the prime-filter space without building filters explicitly.
+    Any finite algebra on a distributive lattice is isomorphic to one of
+    these, so only the carrier representation changes.
     """
-    primes = []
-    for p in elements:
-        if p == alg.zero:
-            continue
-        ok = True
-        for x in elements:
-            for y in elements:
-                if alg.leq(p, alg.join(x, y)) and \
-                        not alg.leq(p, x) and not alg.leq(p, y):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            primes.append(p)
-    depth = {}
-    for p in sorted(primes, key=lambda e: sum(alg.leq(q, e) for q in primes)):
-        below = [q for q in primes if q != p and alg.leq(q, p)]
-        depth[p] = 1 + max((depth[q] for q in below), default=-1)
-    return max(depth.values(), default=0)
+    rows = []
+    for x in alg.elements:
+        row = 0
+        for y in alg.elements:
+            if alg.leq(x, y):
+                row |= 1 << y
+        rows.append(row)
+    base, _ = dual_poset(FinLattice(FinPoset(rows)))
+    rebuilt = up_set_algebra(base)
+    if rebuilt.size != alg.size:
+        raise BadParameter("carrier is not the up-set lattice of its dual")
+    return rebuilt

@@ -266,10 +266,9 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
     alg = base
     emb = list(range(base.size))
     rounds = 0
-    depth = info.depth
-    while depth < k:
-        prev, prev_info = alg, monolith_info(alg)
-        step = expand_once(alg)
+    while info.depth < k:
+        prev, prev_info = alg, info
+        step = expand_once(alg, prev_info.coatom)
         alg = step.algebra
         emb = [step.embedding[e] for e in emb]
         rounds += 1
@@ -278,17 +277,15 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
             raise AxiomError("expansion lost subdirect irreducibility")
         if info.depth < 2 * prev_info.depth:
             raise AxiomError("expansion did not double the monolith depth")
-        _check_monolith_restricts(prev, step, info)
-        depth = info.depth
-    return ExpansionResult(alg, emb, rounds, depth)
+        _check_monolith_restricts(prev, prev_info, step, info)
+    return ExpansionResult(alg, emb, rounds, info.depth)
 
 
-def _check_monolith_restricts(prev: CIRLTable, step: LpResult,
+def _check_monolith_restricts(prev: CIRLTable, prev_info, step: LpResult,
                               info) -> None:
     """Monolith filter of the expansion meets the base in the base's."""
     from .residuated import is_isomorphic, quotient
 
-    prev_info = monolith_info(prev)
     restricted = sorted(e for e in range(prev.size)
                         if info.mu_filter & (1 << step.embedding[e]))
     expected = sorted(bits(prev_info.mu_filter))

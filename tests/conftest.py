@@ -123,6 +123,74 @@ def oracle_up_sets(p: FinPoset) -> list[int]:
     return out
 
 
+def oracle_dp_congruences(alg) -> list[frozenset]:
+    """Congruences of the double-p reduct by brute algebra.
+
+    Every principal congruence is built by union-find over the carrier,
+    closed under meet, join, neg and dpc, and the set is then closed
+    under joins.  Classes hold indices into ``alg.elements``; the order
+    is the one ``dp_congruences`` uses.
+    """
+    elements = list(alg.elements)
+    index = {e: i for i, e in enumerate(elements)}
+    ops = (("meet", 2), ("join", 2), ("neg", 1), ("dpc", 1))
+
+    def generated(seed_pairs):
+        parent = list(range(len(elements)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        work = []
+
+        def union(i, j):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+                work.append((ri, rj))
+
+        for a, b in seed_pairs:
+            union(index[a], index[b])
+        while work:
+            i, j = work.pop()
+            a, b = elements[i], elements[j]
+            for name, arity in ops:
+                fn = getattr(alg, name)
+                if arity == 1:
+                    union(index[fn(a)], index[fn(b)])
+                else:
+                    for c in elements:
+                        union(index[fn(a, c)], index[fn(b, c)])
+        classes = {}
+        for i in range(len(elements)):
+            classes.setdefault(find(i), []).append(i)
+        return frozenset(frozenset(c) for c in classes.values())
+
+    seen = {frozenset(frozenset([i]) for i in range(len(elements)))}
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            seen.add(generated([(elements[i], elements[j])]))
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for c1 in frontier:
+            for c2 in list(seen):
+                pairs = []
+                for cls in (*c1, *c2):
+                    members = sorted(cls)
+                    pairs.extend((elements[members[0]], elements[m])
+                                 for m in members[1:])
+                j = generated(pairs)
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(seen, key=lambda c: (len(c), sorted(map(sorted, c))))
+
+
 def lattices_isomorphic(a: FinLattice, b: FinLattice) -> bool:
     """Permutation search on the underlying orders."""
     if a.size != b.size:

@@ -312,7 +312,8 @@ def height_le_one_posets(max_size):
 
 def test_c09_katrinak_varlet():
     with criterion(9, "recovered arrow matches the table and the four "
-                      "regularity conditions agree, height <= 1, size <= 6"):
+                      "regularity conditions agree, height <= 1, size <= 6",
+                   budget=20):
         for p in height_le_one_posets(6):
             alg = up_set_algebra(p)
             for u in alg.elements:

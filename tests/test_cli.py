@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from splitbench import cli
 from splitbench.duality import up_set_algebra
+from splitbench.lattice import FinLattice
 from splitbench.poset import build_poset
 from splitbench.residuated import wajsberg_hoop
 
@@ -183,3 +185,16 @@ def test_caps_give_exit_three(tmp_path, capsys, fence4, chain2, monkeypatch):
     assert cli.run(["--budget", "2", "morphisms", fence4, chain2,
                     "--kind", "hplus"]) == 3
     capsys.readouterr()
+
+
+def test_dp_must_be_distributive(tmp_path, capsys):
+    # the pentagon 0<1<2<4, 0<3<4 with its two pseudocomplements
+    lat = FinLattice(build_poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))
+    n5 = write(tmp_path, "n5.json",
+               {"kind": "dp", "size": 5, "meet": lat.meet, "join": lat.join,
+                "neg": [4, 3, 3, 2, 0], "dpc": [4, 3, 3, 1, 0],
+                "zero": 0, "one": 4})
+    for command in ("validate", "analyze"):
+        assert cli.run([command, n5]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"distributive law fails at \(\d+,\d+,\d+\)", err)

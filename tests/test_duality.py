@@ -1,13 +1,16 @@
 import pytest
 
 from conftest import (all_posets, antichain, chain, crown4, fence,
-                      lattices_isomorphic, vee)
-from splitbench.duality import (PosetMap, UpSetAlgebra, birkhoff_map,
-                                classify_algebra, classify_map, dual_poset,
+                      lattices_isomorphic, oracle_dp_congruences, vee)
+from splitbench import cli
+from splitbench.duality import (CONGRUENCE_CAP, PosetMap, UpSetAlgebra,
+                                birkhoff_map, classify_algebra, classify_map,
+                                dp_congruences, dual_poset,
                                 enumerate_morphisms, generate_subalgebra,
                                 katrinak_arrow, never_maps_onto,
                                 up_set_algebra, varlet_report)
-from splitbench.errors import NotDistributive, NotRegular
+from splitbench.errors import (BadParameter, NotDistributive, NotRegular,
+                               SizeError)
 from splitbench.lattice import FinLattice, up_set_lattice
 from splitbench.poset import (DoublePointedPoset, bits, build_poset,
                               canonical_key, enumerate_up_sets, find_tails,
@@ -244,3 +247,29 @@ def test_varlet_report():
     for p in (fence(4), fence(5), antichain(2), crown4()):
         r = varlet_report(up_set_algebra(p))
         assert r.all_agree and r.regular, repr(p)
+
+
+def test_dp_congruences_match_algebraic_oracle():
+    posets = all_posets(5, dedupe=True)
+    assert len(posets) == 87
+    for p in posets:
+        alg = up_set_algebra(p)
+        assert dp_congruences(alg) == oracle_dp_congruences(alg), repr(p)
+
+
+def test_varlet_report_survives_dp_json_round_trip():
+    for p in all_posets(4):
+        alg = up_set_algebra(p)
+        table = cli.algebra_from_json(cli.upalgebra_to_json(alg, "dp"))
+        assert varlet_report(table) == varlet_report(alg), repr(p)
+
+
+def test_dp_congruences_input_contract():
+    table = cli.algebra_from_json(
+        cli.upalgebra_to_json(up_set_algebra(chain(2)), "dp"))
+    with pytest.raises(BadParameter):
+        dp_congruences(table)
+    # every subset of an antichain is closed, so Up(A_n) has 2^n of them
+    assert len(dp_congruences(UpSetAlgebra(antichain(8)))) == CONGRUENCE_CAP
+    with pytest.raises(SizeError):
+        dp_congruences(UpSetAlgebra(antichain(9)))
