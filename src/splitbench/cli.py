@@ -13,7 +13,7 @@ import sys
 
 from . import diagram as diagram_mod
 from . import duality, filtration, hplus_witness, residuated
-from .errors import FormatError, SizeError, SplitbenchError
+from .errors import AxiomError, FormatError, SizeError, SplitbenchError
 from .lattice import FinLattice, all_splitting_pairs
 from .poset import (DoublePointedPoset, FinPoset, MAX_POSET_SIZE, bits,
                     build_poset, find_tails, is_connected, is_fence,
@@ -29,14 +29,27 @@ ENV_BUDGET = "SPLITBENCH_BUDGET"
 # -- file formats ----------------------------------------------------------
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(str(exc)) from None
+    if not isinstance(obj, dict):
+        raise FormatError("top-level JSON value is not an object")
+    return obj
+
+
+def _check_elements(values, size: int, where: str):
+    """Each value must be an int element index (bools are refused);
+    ``where.format(k)`` names the position of value k."""
+    for k, v in enumerate(values):
+        if type(v) is not int or not 0 <= v < size:
+            raise FormatError(f"{where.format(k)} = {v!r} is not an "
+                              f"element index below {size}")
 
 
 def poset_to_json(p: FinPoset, bot: int | None = None,
@@ -58,8 +71,14 @@ def poset_from_json(obj, max_size: int) -> tuple[FinPoset, int | None, int | Non
         raise FormatError("poset size must be a positive integer")
     if size > max_size:
         raise SizeError(f"poset size {size} exceeds cap {max_size}")
-    pairs = [(int(a), int(b)) for a, b in obj.get("le", [])]
-    p = build_poset(size, pairs)
+    le = obj.get("le", [])
+    if not isinstance(le, list):
+        raise FormatError("le is not a list")
+    for k, pair in enumerate(le):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FormatError(f"le[{k}] is not a pair")
+        _check_elements(pair, size, f"le[{k}][{{}}]")
+    p = build_poset(size, le)
     return p, obj.get("bot"), obj.get("top")
 
 
@@ -70,79 +89,52 @@ def load_double_pointed(obj, max_size: int) -> DoublePointedPoset:
     return DoublePointedPoset(p, bot, top)
 
 
-_ALG_OPS = {
-    "cirl": (["meet", "join", "mul", "arrow"], [], ["one"]),
-    "heyting": (["meet", "join", "arrow"], [], ["zero", "one"]),
-    "hplus": (["meet", "join", "arrow"], ["dpc"], ["zero", "one"]),
-    "dheyting": (["meet", "join", "arrow", "coarrow"], [], ["zero", "one"]),
-    "dp": (["meet", "join"], ["neg", "dpc"], ["zero", "one"]),
-}
-
-
 def algebra_to_json(alg, kind: str, labels=None) -> dict:
-    binary, unary, consts = _ALG_OPS[kind]
-    out = {"schema": SCHEMA, "kind": kind, "size": alg.size}
-    for name in binary:
-        fn = _op_of(alg, name)
-        out[name] = [[fn(a, b) for b in range(alg.size)]
-                     for a in range(alg.size)]
-    for name in unary:
-        fn = _op_of(alg, name)
-        out[name] = [fn(a) for a in range(alg.size)]
-    for name in consts:
-        out[name] = getattr(alg, name)
+    sig = diagram_mod.KINDS[kind]
+    elements = list(alg.elements)
+    index = {e: i for i, e in enumerate(elements)}
+    out = {"schema": SCHEMA, "kind": kind, "size": len(elements)}
+    for key, meth in sig.binary:
+        fn = getattr(alg, meth)
+        out[key] = [[index[fn(a, b)] for b in elements] for a in elements]
+    for key, meth in sig.unary:
+        fn = getattr(alg, meth)
+        out[key] = [index[fn(a)] for a in elements]
+    for name in sig.consts:
+        out[name] = index[getattr(alg, name)]
     if labels is not None:
         out["labels"] = list(labels)
     return out
 
 
-def _op_of(alg, name: str):
-    if name == "mul":
-        return alg.mult
-    if name == "arrow" and alg.kind == "cirl":
-        return alg.res
-    return getattr(alg, name)
-
-
 def upalgebra_to_json(alg: duality.UpSetAlgebra, kind: str = "hplus") -> dict:
-    elements = alg.elements
-    index = {m: i for i, m in enumerate(elements)}
-    binary, unary, consts = _ALG_OPS[kind]
-    out = {"schema": SCHEMA, "kind": kind, "size": len(elements)}
-    for name in binary:
-        fn = getattr(alg, name)
-        out[name] = [[index[fn(u, v)] for v in elements] for u in elements]
-    for name in unary:
-        fn = getattr(alg, name)
-        out[name] = [index[fn(u)] for u in elements]
-    out["zero"] = index[alg.zero]
-    out["one"] = index[alg.one]
-    out["labels"] = [format(m, "b") for m in elements]
-    return out
+    return algebra_to_json(alg, kind,
+                           labels=[format(m, "b") for m in alg.elements])
 
 
 def algebra_from_json(obj):
     kind = obj.get("kind")
-    if kind not in _ALG_OPS:
+    if kind not in diagram_mod.KINDS:
         raise FormatError(f"unknown algebra kind {kind!r}")
+    sig = diagram_mod.KINDS[kind]
     size = obj.get("size")
-    binary, unary, consts = _ALG_OPS[kind]
     tables = {}
-    for name in binary:
-        t = obj.get(name)
+    for key, _ in sig.binary:
+        t = obj.get(key)
         if (not isinstance(t, list) or len(t) != size or
-                any(len(r) != size for r in t)):
-            raise FormatError(f"table {name} is not {size}x{size}")
-        tables[name] = t
-    for name in unary:
-        t = obj.get(name)
+                any(not isinstance(r, list) or len(r) != size for r in t)):
+            raise FormatError(f"table {key} is not {size}x{size}")
+        for a, row in enumerate(t):
+            _check_elements(row, size, f"table {key} at ({a},{{}})")
+        tables[key] = t
+    for key, _ in sig.unary:
+        t = obj.get(key)
         if not isinstance(t, list) or len(t) != size:
-            raise FormatError(f"table {name} is not length {size}")
-        tables[name] = t
-    for name in consts:
-        v = obj.get(name)
-        if not isinstance(v, int) or not 0 <= v < size:
-            raise FormatError(f"constant {name} missing or out of range")
+            raise FormatError(f"table {key} is not length {size}")
+        _check_elements(t, size, f"table {key} at ({{}})")
+        tables[key] = t
+    for name in sig.consts:
+        _check_elements([obj.get(name)], size, f"constant {name}")
 
     rows = []
     meet = tables["meet"]
@@ -165,17 +157,14 @@ def algebra_from_json(obj):
         if obj["one"] != lat.one:
             raise FormatError("unit is not the lattice top")
         return residuated.validate_cirl(lat, tables["mul"], tables["arrow"])
-    alg = diagram_mod.TableAlgebra(
-        kind, size, {k: v for k, v in tables.items() if k != "mul"},
-        {c: obj[c] for c in consts})
-    _validate_order_algebra(alg, lat, kind)
+    alg = diagram_mod.TableAlgebra(kind, lat, tables,
+                                   {c: obj[c] for c in sig.consts})
+    _validate_order_algebra(alg)
     return alg
 
 
-def _validate_order_algebra(alg, lat: FinLattice, kind: str):
-    from .errors import AxiomError
-
-    n = alg.size
+def _validate_order_algebra(alg):
+    lat, kind, n = alg.lattice, alg.kind, alg.size
     if alg.zero != lat.zero or alg.one != lat.one:
         raise AxiomError("constants are not the lattice bounds")
     if kind in ("heyting", "hplus", "dheyting"):
@@ -226,17 +215,7 @@ def _lattice_of(obj, max_size: int) -> FinLattice:
     if obj.get("kind") == "poset":
         p, _, _ = poset_from_json(obj, max_size)
         return FinLattice(p)
-    alg = algebra_from_json(obj)
-    if alg.kind == "cirl":
-        return alg.lattice
-    rows = []
-    for a in range(alg.size):
-        row = 0
-        for b in range(alg.size):
-            if alg.meet(a, b) == a:
-                row |= 1 << b
-        rows.append(row)
-    return FinLattice(FinPoset(rows))
+    return algebra_from_json(obj).lattice
 
 
 # -- subcommands -----------------------------------------------------------
@@ -292,8 +271,7 @@ def _cmd_analyze(args):
                "distributive_identity": rep.distributive_identity,
                "all_agree": rep.all_agree})
         return 0
-    sig = {"heyting": None, "hplus": diagram_mod.HPLUS,
-           "dheyting": diagram_mod.DHEYTING}[obj["kind"]]
+    sig = diagram_mod.SIGNATURES.get(obj["kind"])
     out = {"schema": SCHEMA, "command": "analyze", "kind": obj["kind"],
            "size": alg.size}
     if sig is not None:
@@ -319,15 +297,11 @@ def _cmd_expand(args):
     if alg.kind != "cirl":
         raise FormatError("expand needs a cirl algebra")
     if args.rounds is not None:
-        emb = list(range(alg.size))
         for _ in range(args.rounds):
-            step = expand_once(alg)
-            emb = [step.embedding[e] for e in emb]
-            alg = step.algebra
-        _emit(algebra_to_json(alg, "cirl"))
-        return 0
-    res = expand_to_depth(alg, args.depth)
-    _emit(algebra_to_json(res.algebra, "cirl"))
+            alg = expand_once(alg).algebra
+    else:
+        alg = expand_to_depth(alg, args.depth).algebra
+    _emit(algebra_to_json(alg, "cirl"))
     return 0
 
 
@@ -388,8 +362,7 @@ def _algebra_for_sig(path: str, sig_tag: str, max_upsets: int):
     if obj.get("kind") == "poset" and sig_tag in ("hplus", "dheyting"):
         p, _, _ = poset_from_json(obj, MAX_POSET_SIZE)
         return duality.up_set_algebra(p, cap=max_upsets)
-    alg = algebra_from_json(obj)
-    return alg
+    return algebra_from_json(obj)
 
 
 def _cmd_witness(args):
@@ -456,11 +429,10 @@ def _cmd_splittings(args):
 def _cmd_filtrate(args):
     p, _, _ = poset_from_json(_read_json(args.file), args.max_poset)
     fam = [int(g) for g in args.gens]
+    alg = duality.UpSetAlgebra(p)
     if args.close_dpc:
-        alg = duality.UpSetAlgebra(p)
         fam = filtration.close_under_dpc(alg, fam)
     fil = filtration.filtrate(p, fam)
-    alg = duality.UpSetAlgebra(p)
     preserved = True
     in_fam = set(fam)
     unary = [alg.neg, alg.dpc]

@@ -3,7 +3,7 @@
 The diagram of a finite algebra has one variable per element and one
 conjunct per operation-table entry; evaluating it in another algebra
 locates copies of the source.  Everything here is generic over the
-three signatures via a symbol-to-method map, so table algebras and
+three signatures via a table-key-to-method map, so table algebras and
 up-set algebras are handled uniformly.
 """
 
@@ -11,17 +11,17 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
-from .poset import FinPoset, bits
+from .poset import FinPoset, bits, popcount
 
 ASSIGNMENT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Which operations a diagram mentions and how iff/delta unfold."""
+    """Which operations an algebra kind has and how iff/delta unfold."""
 
     tag: str
-    binary: tuple[tuple[str, str], ...]   # (symbol, method name)
+    binary: tuple[tuple[str, str], ...]   # (JSON table key, method name)
     unary: tuple[tuple[str, str], ...]
     consts: tuple[str, ...]               # attribute names
 
@@ -72,7 +72,21 @@ DHEYTING = Signature(
     (),
     ("zero", "one"),
 )
+# no diagrams for these two; they name the ops of the JSON formats
+HEYTING = Signature(
+    "heyting",
+    (("meet", "meet"), ("join", "join"), ("arrow", "arrow")),
+    (),
+    ("zero", "one"),
+)
+DP = Signature(
+    "dp",
+    (("meet", "meet"), ("join", "join")),
+    (("neg", "neg"), ("dpc", "dpc")),
+    ("zero", "one"),
+)
 
+KINDS = {s.tag: s for s in (CIRL, HEYTING, HPLUS, DHEYTING, DP)}
 SIGNATURES = {s.tag: s for s in (CIRL, HPLUS, DHEYTING)}
 
 
@@ -162,51 +176,34 @@ class SiStructure:
 def si_structure(alg, sig) -> SiStructure:
     """SI detection and the least element of the monolith class of 1.
 
-    For the lattice-based signatures the congruence filters are the
-    principal filters of delta-fixed elements; the monolith exists iff
-    the join of the fixed points below 1 stays below 1.
+    The congruence filters are the principal filters of delta-fixed
+    elements (the idempotents, for CIRLs), and these are closed under
+    joins; the monolith exists iff the join of the fixed points below 1
+    stays below 1.
     """
     sig = get_signature(sig)
     sig.require(alg)
-    if sig.tag == "cirl":
-        from .residuated import monolith_info
-
-        info = monolith_info(alg)
-        if not info.is_si:
-            return SiStructure(False)
-        return SiStructure(True, info.mu_bottom,
-                           simple=(alg.bottom == info.mu_bottom))
     elements = list(alg.elements)
     if len(elements) < 2:
         return SiStructure(False)
-    # zero is always delta-fixed; the monolith generator is the largest
-    # fixed point below 1, which exists iff the join of them stays below 1
-    m = alg.zero
+    # the bottom is always delta-fixed; the monolith generator is the
+    # largest fixed point below 1, which exists iff their join stays below 1
+    m = alg.bottom
     for x in elements:
         if x != alg.one and sig.delta(alg, x) == x:
             m = alg.join(m, x)
     if m == alg.one:
         return SiStructure(False)
-    return SiStructure(True, m, simple=(m == alg.zero))
-
-
-def congruence_filters_generic(alg, sig) -> list[list]:
-    """Filters of delta-fixed generators, as element lists."""
-    sig = get_signature(sig)
-    out = []
-    for g in alg.elements:
-        if sig.delta(alg, g) == g:
-            out.append([x for x in alg.elements if alg.leq(g, x)])
-    out.sort(key=len)
-    return out
+    return SiStructure(True, m, simple=(m == alg.bottom))
 
 
 class TableAlgebra:
-    """A finite algebra given by explicit operation tables."""
+    """A finite algebra given by explicit operation tables on a lattice."""
 
-    def __init__(self, kind: str, size: int, tables: dict, consts: dict):
+    def __init__(self, kind: str, lattice, tables: dict, consts: dict):
         self.kind = kind
-        self.size = size
+        self.lattice = lattice
+        self.size = lattice.size
         self.tables = tables
         self.consts = consts
 
@@ -231,47 +228,10 @@ class TableAlgebra:
         return self.consts.get("zero")
 
     def leq(self, a, b):
-        return self.tables["meet"][a][b] == a
+        return self.lattice.leq(a, b)
 
     def __repr__(self):
         return f"TableAlgebra({self.kind}, size={self.size})"
-
-
-_METHOD_TO_TABLE = {"meet": "meet", "join": "join", "arrow": "arrow",
-                    "coarrow": "coarrow", "dpc": "dpc", "neg": "neg",
-                    "mult": "mul", "res": "arrow"}
-
-
-def quotient_generic(alg, sig, filter_elems) -> tuple[TableAlgebra, dict]:
-    """Quotient by the congruence of a delta-closed filter."""
-    sig = get_signature(sig)
-    felems = set(filter_elems)
-
-    def equiv(x, y):
-        return sig.iff(alg, x, y) in felems
-
-    elements = list(alg.elements)
-    reps = []
-    proj = {}
-    for x in elements:
-        for k, r in enumerate(reps):
-            if equiv(x, r):
-                proj[x] = k
-                break
-        else:
-            proj[x] = len(reps)
-            reps.append(x)
-    n = len(reps)
-    tables = {}
-    for _, meth in sig.binary:
-        fn = getattr(alg, meth)
-        tables[_METHOD_TO_TABLE[meth]] = [
-            [proj[fn(reps[i], reps[j])] for j in range(n)] for i in range(n)]
-    for _, meth in sig.unary:
-        fn = getattr(alg, meth)
-        tables[_METHOD_TO_TABLE[meth]] = [proj[fn(reps[i])] for i in range(n)]
-    consts = {c: proj[getattr(alg, c)] for c in sig.consts}
-    return TableAlgebra(sig.tag, n, tables, consts), proj
 
 
 # -- embedding searches ----------------------------------------------------
@@ -426,7 +386,12 @@ def delta_power_witness(a, b, i: int, sig, candidates=(),
 
 
 def in_hs(a, b, sig) -> bool:
-    """True iff a embeds into some quotient of b."""
+    """True iff a embeds into some quotient of b.
+
+    For the order signatures b is dualized once: the congruence of the
+    filter above a delta-fixed up-set G identifies U and V iff
+    U & G == V & G, so the quotient is Up(G) (Priestley 1975).
+    """
     sig = get_signature(sig)
     a_n = len(list(a.elements))
     if sig.tag == "cirl":
@@ -437,8 +402,14 @@ def in_hs(a, b, sig) -> bool:
             if a_n <= q.size and search_embedding(a, q, sig) is not None:
                 return True
         return False
-    for f in congruence_filters_generic(b, sig):
-        q, _ = quotient_generic(b, sig, f)
+    from .duality import _as_up_set_algebra, up_set_algebra
+
+    if a_n == 1:
+        return True    # the quotient by the total congruence
+    b = _as_up_set_algebra(b)
+    fixed = [g for g in b.elements if g and sig.delta(b, g) == g]
+    for g in sorted(fixed, key=popcount, reverse=True):
+        q = up_set_algebra(b.base.restrict(g)[0])
         if a_n <= q.size and search_embedding(a, q, sig) is not None:
             return True
     return False
@@ -482,6 +453,7 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
     from .expansion import expand_to_depth
     from .residuated import monolith_info, truncated_product, wajsberg_hoop
 
+    sig.require(a)
     info = monolith_info(a)
     if not info.is_si:
         raise NotSI("witness suite needs an SI algebra")
@@ -501,9 +473,10 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             e = exp.algebra
             p = _first_prime_at_least(e.size)
             hoop = wajsberg_hoop(p + 1)
-            big = truncated_product(e, hoop)
-            w = _canonical_tuple(a, e, exp.embedding, monolith_info(e),
-                                 hoop, big)
+            e_info = monolith_info(e)
+            # the hoop's coatom is its first power
+            big = truncated_product(e, hoop, e_info.coatom, 1)
+            w = _canonical_tuple(a, e, exp.embedding, e_info, hoop, big)
             excluded = None if small else not in_hs(a, big, sig)
         witness = delta_power_witness(a, big, i, sig, candidates=[w])
         report.entries.append(WitnessEntry(
@@ -561,12 +534,11 @@ def _first_prime_at_least(n: int) -> int:
 
 
 def _witness_suite_order(a, i_max, sig) -> WitnessReport:
-    from .duality import UpSetAlgebra, _as_up_set_algebra
+    from .duality import _as_up_set_algebra
     from .hplus_witness import (build_witness_algebra, diagram_final_check,
                                 fence_for_target, never_maps_onto_check)
 
-    if not isinstance(a, UpSetAlgebra):
-        a = _as_up_set_algebra(a)
+    a = _as_up_set_algebra(a)
     if a.size <= 3:
         return WitnessReport(sig.tag, a.size, exempt=True,
                              note="two- and three-element algebras split; "

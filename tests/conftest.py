@@ -191,6 +191,51 @@ def oracle_dp_congruences(alg) -> list[frozenset]:
     return sorted(seen, key=lambda c: (len(c), sorted(map(sorted, c))))
 
 
+def oracle_in_hs(a, b, sig) -> bool:
+    """HS membership through table quotients of b, for hplus/dheyting.
+
+    Each delta-fixed element g gives the congruence x ~ y iff
+    g <= iff(x, y); the quotient is built as operation tables on the
+    classes and searched for an embedding of a.
+    """
+    from splitbench.diagram import (TableAlgebra, get_signature,
+                                    search_embedding)
+
+    sig = get_signature(sig)
+    elements = list(b.elements)
+    a_n = len(list(a.elements))
+    for g in elements:
+        if sig.delta(b, g) != g:
+            continue
+        reps, proj = [], {}
+        for x in elements:
+            for k, r in enumerate(reps):
+                if b.leq(g, sig.iff(b, x, r)):
+                    proj[x] = k
+                    break
+            else:
+                proj[x] = len(reps)
+                reps.append(x)
+        n = len(reps)
+        if a_n > n:
+            continue
+        tables = {}
+        for key, meth in sig.binary:
+            fn = getattr(b, meth)
+            tables[key] = [[proj[fn(r, s)] for s in reps] for r in reps]
+        for key, meth in sig.unary:
+            fn = getattr(b, meth)
+            tables[key] = [proj[fn(r)] for r in reps]
+        meet = tables["meet"]
+        rows = [sum(1 << j for j in range(n) if meet[i][j] == i)
+                for i in range(n)]
+        q = TableAlgebra(sig.tag, FinLattice(FinPoset(rows)), tables,
+                         {c: proj[getattr(b, c)] for c in sig.consts})
+        if search_embedding(a, q, sig) is not None:
+            return True
+    return False
+
+
 def lattices_isomorphic(a: FinLattice, b: FinLattice) -> bool:
     """Permutation search on the underlying orders."""
     if a.size != b.size:

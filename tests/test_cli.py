@@ -79,6 +79,29 @@ def test_validate_rejects_garbage(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _two_element(**changes):
+    # Up of the one-point poset, as an hplus table, with some entries replaced
+    obj = cli.upalgebra_to_json(up_set_algebra(build_poset(1, [])), "hplus")
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1, 2], "top-level JSON value is not an object"),
+    ({"kind": "poset", "size": 3, "le": [[0, 1, 2]]},
+     "le[0] is not a pair"),
+    (_two_element(dpc=[-1, 0]), "table dpc at (0) = -1"),
+    (_two_element(one=True), "constant one = True"),
+    (_two_element(meet=[[0, 5], [5, 1]]), "table meet at (0,1) = 5"),
+], ids=["array", "le-triple", "negative-dpc", "bool-constant",
+        "meet-out-of-range"])
+def test_malformed_input_exits_three(tmp_path, capsys, obj, message):
+    path = write(tmp_path, "bad.json", obj)
+    assert cli.run(["validate", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_hoop_expand_pipeline(tmp_path, capsys):
     code, hoop3 = run_cli(capsys, "hoop", "3")
     assert code == 0 and hoop3["size"] == 3

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import all_lattices, all_posets, enumerate_cirls
+from conftest import all_lattices, all_posets, enumerate_cirls, oracle_in_hs
+from splitbench.cli import algebra_from_json, upalgebra_to_json
 from splitbench.diagram import (CIRL, DHEYTING, HPLUS, Assignment,
                                 TableAlgebra, build_diagram,
                                 delta_power_witness, embedding_by_diagram,
@@ -48,6 +49,18 @@ def test_si_structure():
     assert got.is_si and got.simple and got.mu_bottom == alg.zero
     boolean4 = up_set_algebra(build_poset(2, []))
     assert not si_structure(boolean4, HPLUS).is_si
+
+
+def test_si_structure_matches_monolith_info():
+    # the delta-fixed-join rule against the congruence-filter monolith
+    algebras = [c for lat in all_lattices(5) for c in enumerate_cirls(lat)]
+    algebras += [wajsberg_hoop(n) for n in range(2, 7)]
+    for a in algebras:
+        info = monolith_info(a)
+        got = si_structure(a, CIRL)
+        assert got.is_si == info.is_si
+        assert got.mu_bottom == info.mu_bottom
+        assert got.simple == (info.is_si and info.mu_bottom == a.bottom)
 
 
 def test_embedding_by_diagram_on_hoops():
@@ -138,6 +151,29 @@ def test_in_hs_hplus():
     f4 = up_set_algebra(build_poset(4, [(0, 1), (2, 1), (2, 3)]))
     assert in_hs(three, f4, HPLUS)
     assert not in_hs(f4, three, HPLUS)
+    # the one-element algebra is the quotient by the total congruence
+    trivial = algebra_from_json({"kind": "hplus", "size": 1, "meet": [[0]],
+                                 "join": [[0]], "arrow": [[0]], "dpc": [0],
+                                 "zero": 0, "one": 0})
+    assert in_hs(trivial, f4, HPLUS) and oracle_in_hs(trivial, f4, HPLUS)
+
+
+def test_in_hs_matches_table_quotient_oracle():
+    # Up(G) quotients on the dual against table quotients of b, and the
+    # same answers when b arrives as a JSON table
+    sources = [up_set_algebra(p) for p in all_posets(3, connected_only=True)]
+    targets = [up_set_algebra(p) for p in all_posets(4, dedupe=True)]
+    assert len(sources) * len(targets) * 2 == 240
+    found = 0
+    for sig in (HPLUS, DHEYTING):
+        for b in targets:
+            table = algebra_from_json(upalgebra_to_json(b, sig.tag))
+            for a in sources:
+                got = in_hs(a, b, sig)
+                assert got == oracle_in_hs(a, b, sig)
+                assert in_hs(a, table, sig) == got
+                found += got
+    assert found == 125
 
 
 def test_witness_suite_cirl_c3():
