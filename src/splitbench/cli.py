@@ -15,9 +15,10 @@ from . import diagram as diagram_mod
 from . import duality, filtration, hplus_witness, residuated
 from .errors import AxiomError, FormatError, SizeError, SplitbenchError
 from .lattice import FinLattice, all_splitting_pairs
-from .poset import (DoublePointedPoset, FinPoset, MAX_POSET_SIZE, bits,
-                    build_poset, find_tails, is_connected, is_fence,
-                    order_isolated, power_chain, searrow)
+from .poset import (DEFAULT_UPSET_CAP, DoublePointedPoset, FinPoset,
+                    MAX_POSET_SIZE, bits, build_poset, find_tails,
+                    is_connected, is_fence, order_isolated, power_chain,
+                    relation_rows, searrow)
 
 SCHEMA = 1
 
@@ -52,6 +53,13 @@ def _check_elements(values, size: int, where: str):
                               f"element index below {size}")
 
 
+def _check_size(obj, what: str) -> int:
+    size = obj.get("size")
+    if type(size) is not int or size < 1:
+        raise FormatError(f"{what} size = {size!r} is not a positive integer")
+    return size
+
+
 def poset_to_json(p: FinPoset, bot: int | None = None,
                   top: int | None = None) -> dict:
     out = {"schema": SCHEMA, "kind": "poset", "size": p.size,
@@ -66,9 +74,7 @@ def poset_to_json(p: FinPoset, bot: int | None = None,
 def poset_from_json(obj, max_size: int) -> tuple[FinPoset, int | None, int | None]:
     if obj.get("kind") != "poset":
         raise FormatError("expected a poset object")
-    size = obj.get("size")
-    if not isinstance(size, int) or size < 1:
-        raise FormatError("poset size must be a positive integer")
+    size = _check_size(obj, "poset")
     if size > max_size:
         raise SizeError(f"poset size {size} exceeds cap {max_size}")
     le = obj.get("le", [])
@@ -79,7 +85,11 @@ def poset_from_json(obj, max_size: int) -> tuple[FinPoset, int | None, int | Non
             raise FormatError(f"le[{k}] is not a pair")
         _check_elements(pair, size, f"le[{k}][{{}}]")
     p = build_poset(size, le)
-    return p, obj.get("bot"), obj.get("top")
+    bot, top = obj.get("bot"), obj.get("top")
+    for name, v in (("bot", bot), ("top", top)):
+        if v is not None:
+            _check_elements([v], size, name)
+    return p, bot, top
 
 
 def load_double_pointed(obj, max_size: int) -> DoublePointedPoset:
@@ -117,7 +127,7 @@ def algebra_from_json(obj):
     if kind not in diagram_mod.KINDS:
         raise FormatError(f"unknown algebra kind {kind!r}")
     sig = diagram_mod.KINDS[kind]
-    size = obj.get("size")
+    size = _check_size(obj, "algebra")
     tables = {}
     for key, _ in sig.binary:
         t = obj.get(key)
@@ -136,15 +146,9 @@ def algebra_from_json(obj):
     for name in sig.consts:
         _check_elements([obj.get(name)], size, f"constant {name}")
 
-    rows = []
     meet = tables["meet"]
-    for a in range(size):
-        row = 0
-        for b in range(size):
-            if meet[a][b] == a:
-                row |= 1 << b
-        rows.append(row)
-    lat = FinLattice(FinPoset(rows))
+    lat = FinLattice(FinPoset(relation_rows(size,
+                                            lambda a, b: meet[a][b] == a)))
     for a in range(size):
         for b in range(size):
             if lat.meet[a][b] != meet[a][b]:
@@ -189,13 +193,9 @@ def _validate_order_algebra(alg):
                                      f"({x},{y})")
     if kind == "dp":
         # Varlet's conditions and the dual hold for distributive lattices
-        meet, join = lat.meet, lat.join
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                        raise AxiomError(f"distributive law fails at "
-                                         f"({x},{y},{z})")
+        bad = lat.distributive_failure()
+        if bad is not None:
+            raise AxiomError("distributive law fails at ({},{},{})".format(*bad))
         for x in range(n):
             for y in range(n):
                 if (lat.meet[x][y] == lat.zero) != lat.leq(y, alg.neg(x)):
@@ -428,7 +428,11 @@ def _cmd_splittings(args):
 
 def _cmd_filtrate(args):
     p, _, _ = poset_from_json(_read_json(args.file), args.max_poset)
-    fam = [int(g) for g in args.gens]
+    fam = args.gens
+    for g in fam:
+        if g < 0 or g & ~p.all_mask:
+            raise FormatError(f"--gens mask {g} is not a subset of the "
+                              f"{p.size} points")
     alg = duality.UpSetAlgebra(p)
     if args.close_dpc:
         fam = filtration.close_under_dpc(alg, fam)
@@ -457,18 +461,39 @@ def _cmd_filtrate(args):
     return 0 if preserved else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input trouble, so they exit 3; subparsers inherit
+    this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _int_or_env(env: str):
+    """int, for a flag whose default is read from ``env`` as a string and
+    converted here, so a bad value names the variable too."""
+    def parse(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value {text!r} (from the flag or {env})") from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="splitbench",
         description="finite-algebra workbench: splittings, dualities, "
                     "expansions")
-    ap.add_argument("--max-poset", type=int,
-                    default=int(os.environ.get(ENV_MAX_POSET, MAX_POSET_SIZE)))
-    ap.add_argument("--max-upsets", type=int,
-                    default=int(os.environ.get(ENV_MAX_UPSETS, 1 << 16)))
-    ap.add_argument("--budget", type=int,
-                    default=int(os.environ.get(ENV_BUDGET,
-                                               duality.MORPHISM_BUDGET)))
+    for flag, env, default in (("--max-poset", ENV_MAX_POSET, MAX_POSET_SIZE),
+                               ("--max-upsets", ENV_MAX_UPSETS,
+                                DEFAULT_UPSET_CAP),
+                               ("--budget", ENV_BUDGET,
+                                duality.MORPHISM_BUDGET)):
+        ap.add_argument(flag, type=_int_or_env(env),
+                        default=os.environ.get(env, str(default)))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -529,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp = add("filtrate", _cmd_filtrate)
     sp.add_argument("file")
-    sp.add_argument("--gens", nargs="+", required=True)
+    sp.add_argument("--gens", nargs="+", type=int, required=True)
     sp.add_argument("--close-dpc", action="store_true")
     return ap
 

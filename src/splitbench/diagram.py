@@ -473,10 +473,9 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             e = exp.algebra
             p = _first_prime_at_least(e.size)
             hoop = wajsberg_hoop(p + 1)
-            e_info = monolith_info(e)
             # the hoop's coatom is its first power
-            big = truncated_product(e, hoop, e_info.coatom, 1)
-            w = _canonical_tuple(a, e, exp.embedding, e_info, hoop, big)
+            big = truncated_product(e, hoop, exp.info.coatom, 1)
+            w = _canonical_tuple(a, e, exp.embedding, exp.info, hoop, big)
             excluded = None if small else not in_hs(a, big, sig)
         witness = delta_power_witness(a, big, i, sig, candidates=[w])
         report.entries.append(WitnessEntry(

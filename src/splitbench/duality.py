@@ -7,12 +7,11 @@ are vacuous here and are not modelled.
 
 from dataclasses import dataclass
 
-from .errors import (AxiomError, BadParameter, NotDistributive, NotRegular,
-                     SizeError)
+from .errors import BadParameter, NotDistributive, NotRegular, SizeError
 from .diagram import KINDS
 from .lattice import FinLattice
 from .poset import (DEFAULT_UPSET_CAP, FinPoset, bits, enumerate_up_sets,
-                    is_connected, popcount)
+                    is_connected, popcount, relation_rows)
 
 MORPHISM_BUDGET = 50_000_000
 
@@ -98,25 +97,13 @@ class UpSetAlgebra:
 
 
 def up_set_algebra(x: FinPoset, cap: int = DEFAULT_UPSET_CAP) -> UpSetAlgebra:
-    """Build Up(x) and assert the defining adjunctions on all elements."""
+    """Build Up(x) with its carrier materialized, or raise SizeError past cap.
+
+    The Heyting, dual-Heyting and pseudocomplement laws hold on up-sets by
+    construction (Priestley 1975; Esakia 1974), so none is re-checked.
+    """
     alg = UpSetAlgebra(x)
-    elems = alg.materialize(cap)
-    for u in elems:
-        nu = alg.dpc(u)
-        au0 = alg.arrow(u, 0)
-        if au0 != alg.neg(u):
-            raise AxiomError(f"neg is not arrow-to-zero at {u:b}")
-        for w in elems:
-            if (alg.join(u, w) == alg.one) != alg.leq(nu, w):
-                raise AxiomError(f"dual pseudocomplement law fails at ({u:b},{w:b})")
-        for v in elems:
-            uv = alg.arrow(u, v)
-            duv = alg.coarrow(u, v)
-            for w in elems:
-                if alg.leq(alg.meet(w, u), v) != alg.leq(w, uv):
-                    raise AxiomError(f"residuation fails at ({u:b},{v:b},{w:b})")
-                if alg.leq(u, alg.join(w, v)) != alg.leq(duv, w):
-                    raise AxiomError(f"dual residuation fails at ({u:b},{v:b},{w:b})")
+    alg.materialize(cap)
     return alg
 
 
@@ -137,13 +124,7 @@ def dual_poset(lat: FinLattice) -> tuple[FinPoset, list[int]]:
         below = lat.poset.down[x] & ~(1 << x)
         if lat.join_all(below) != x:
             irr.append(x)
-    rows = []
-    for j in irr:
-        row = 0
-        for k, other in enumerate(irr):
-            if lat.leq(other, j):
-                row |= 1 << k
-        rows.append(row)
+    rows = relation_rows(len(irr), lambda j, k: lat.leq(irr[k], irr[j]))
     return FinPoset(rows), irr
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from .errors import AxiomError, BadParameter, NotSI
 from .lattice import FinLattice
-from .poset import FinPoset, bits
-from .residuated import CIRLTable, monolith_info, validate_cirl
+from .poset import FinPoset, bits, relation_rows
+from .residuated import CIRLTable, MonolithInfo, monolith_info, validate_cirl
 
 
 class ExpandedMonoid:
@@ -21,7 +21,7 @@ class ExpandedMonoid:
     """
 
     __slots__ = ("base", "c", "a0", "d_index", "base_of", "size",
-                 "le", "mul", "one", "bottom")
+                 "order", "mul", "one", "bottom")
 
     def __init__(self, base: CIRLTable, c: int):
         n = base.size
@@ -36,32 +36,22 @@ class ExpandedMonoid:
         self._build_mul()
         self.one = base.one
         full = (1 << self.size) - 1
-        self.bottom = next(i for i in range(self.size) if self.le[i] == full)
+        self.bottom = next(i for i in range(self.size)
+                           if self.order.up[i] == full)
         self._check_pomonoid()
 
     def _build_order(self):
-        base, c = self.base, self.c
+        base, c, of = self.base, self.c, self.base_of
         n = base.size
-        rows = []
-        for x in range(self.size):
-            row = 0
-            xd = x >= n
-            xa = self.base_of[x]
-            for y in range(self.size):
-                yd = y >= n
-                ya = self.base_of[y]
-                if not xd and not yd:
-                    ok = base.leq(xa, ya)
-                elif xd and not yd:
-                    ok = base.leq(xa, ya)
-                elif not xd and yd:
-                    ok = base.leq(xa, base.mul[c][ya])
-                else:
-                    ok = base.leq(xa, ya)
-                if ok:
-                    row |= 1 << y
-            rows.append(row)
-        self.le = rows
+
+        def leq(x, y):
+            # only a base element below an inserted d_a is compared with c*a
+            if x < n <= y:
+                return base.leq(of[x], base.mul[c][of[y]])
+            return base.leq(of[x], of[y])
+
+        # FinPoset checks reflexivity, antisymmetry and transitivity
+        self.order = FinPoset(relation_rows(self.size, leq))
 
     def _build_mul(self):
         base, c = self.base, self.c
@@ -85,21 +75,12 @@ class ExpandedMonoid:
         self.mul = tab
 
     def _check_pomonoid(self):
-        le, mul, n = self.le, self.mul, self.size
-        for i in range(n):
-            if not le[i] & (1 << i):
-                raise AxiomError("order not reflexive")
-            for j in bits(le[i]):
-                if i != j and le[j] & (1 << i):
-                    raise AxiomError("order not antisymmetric")
-                if le[j] & ~le[i]:
-                    raise AxiomError("order not transitive")
+        le, mul, n = self.order.up, self.mul, self.size
+        # integrality holds by construction: d_a <= a <= 1
         one = self.base.one
         for x in range(n):
             if mul[x][one] != x:
                 raise AxiomError("unit law fails in expansion monoid")
-            if not le[x] & (1 << one):
-                raise AxiomError("expansion monoid not integral")
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -111,14 +92,11 @@ class ExpandedMonoid:
                             f"monotonicity fails at ({x},{y},{z})")
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self.le[x] & (1 << y))
+        return bool(self.order.up[x] & (1 << y))
 
     @property
     def d(self) -> int:
         return self.d_index[self.base.one]
-
-    def poset(self) -> FinPoset:
-        return FinPoset(self.le)
 
 
 class NuclearFrame:
@@ -186,30 +164,18 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
     mon = frame.monoid
     base = mon.base
     d = mon.d
-
-    def down(x):
-        out = 0
-        for y in range(mon.size):
-            if mon.leq(y, x):
-                out |= 1 << y
-        return out
+    down = mon.order.down
 
     cands = set()
     for a in range(base.size):
         for b in range(base.size):
-            cands.add(down(a) | down(mon.mul[d][b]))
+            cands.add(down[a] | down[mon.mul[d][b]])
     closed = sorted(m for m in cands if gamma_closure(frame, m) == m)
     index = {m: i for i, m in enumerate(closed)}
     n = len(closed)
 
-    rows = []
-    for m in closed:
-        row = 0
-        for j, other in enumerate(closed):
-            if not (m & ~other):
-                row |= 1 << j
-        rows.append(row)
-    lat = FinLattice(FinPoset(rows))
+    lat = FinLattice(FinPoset(relation_rows(
+        n, lambda i, j: not closed[i] & ~closed[j])))
     for i, m in enumerate(closed):
         for j, other in enumerate(closed):
             expect = index.get(m & other)
@@ -237,8 +203,8 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
     if closed[alg.one] != gamma_closure(frame, 1 << base.one):
         raise AxiomError("unit of the closure algebra is not gamma(1)")
 
-    embedding = [index[down(a)] for a in range(base.size)]
-    return LpResult(alg, closed, embedding, index[down(d)])
+    embedding = [index[down[a]] for a in range(base.size)]
+    return LpResult(alg, closed, embedding, index[down[d]])
 
 
 @dataclass
@@ -246,7 +212,11 @@ class ExpansionResult:
     algebra: CIRLTable
     embedding: list[int]
     rounds: int
-    depth: int
+    info: MonolithInfo
+
+    @property
+    def depth(self) -> int:
+        return self.info.depth
 
 
 def expand_once(base: CIRLTable, c: int | None = None) -> LpResult:
@@ -278,7 +248,7 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
         if info.depth < 2 * prev_info.depth:
             raise AxiomError("expansion did not double the monolith depth")
         _check_monolith_restricts(prev, prev_info, step, info)
-    return ExpansionResult(alg, emb, rounds, info.depth)
+    return ExpansionResult(alg, emb, rounds, info)
 
 
 def _check_monolith_restricts(prev: CIRLTable, prev_info, step: LpResult,

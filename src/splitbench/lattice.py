@@ -5,7 +5,7 @@ splitting operations then work purely on the tables.
 """
 
 from .errors import MissingResidual, NotACover, NotALattice
-from .poset import FinPoset, bits, popcount
+from .poset import FinPoset, bits, popcount, relation_rows
 
 
 class FinLattice:
@@ -55,14 +55,18 @@ class FinLattice:
         return out
 
     def is_distributive(self) -> bool:
+        return self.distributive_failure() is None
+
+    def distributive_failure(self) -> tuple[int, int, int] | None:
+        """The first (x, y, z) with x & (y | z) != (x & y) | (x & z)."""
         n = self.size
         meet, join = self.meet, self.join
         for x in range(n):
             for y in range(n):
                 for z in range(n):
                     if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                        return False
-        return True
+                        return x, y, z
+        return None
 
     def covers(self) -> list[tuple[int, int]]:
         return self.poset.covers()
@@ -173,12 +177,5 @@ def up_set_lattice(p: FinPoset, cap: int | None = None) -> tuple[FinLattice, lis
     from .poset import DEFAULT_UPSET_CAP, enumerate_up_sets
 
     masks = enumerate_up_sets(p, cap if cap is not None else DEFAULT_UPSET_CAP)
-    index = {m: i for i, m in enumerate(masks)}
-    rows = []
-    for m in masks:
-        row = 0
-        for other in masks:
-            if m & ~other == 0:
-                row |= 1 << index[other]
-        rows.append(row)
+    rows = relation_rows(len(masks), lambda i, j: not masks[i] & ~masks[j])
     return FinLattice(FinPoset(rows)), masks

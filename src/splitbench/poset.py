@@ -27,6 +27,11 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def relation_rows(n: int, leq) -> list[int]:
+    """Row i is the mask of the j < n with leq(i, j)."""
+    return [sum(1 << j for j in range(n) if leq(i, j)) for i in range(n)]
+
+
 class FinPoset:
     """A finite partial order given by its full relation.
 
@@ -121,13 +126,8 @@ class FinPoset:
     def restrict(self, s: int) -> tuple["FinPoset", list[int]]:
         """Induced sub-order on the elements of s, with the element list."""
         elems = list(bits(s))
-        pos = {e: k for k, e in enumerate(elems)}
-        rows = []
-        for e in elems:
-            row = 0
-            for f in bits(self.up[e] & s):
-                row |= 1 << pos[f]
-            rows.append(row)
+        rows = relation_rows(len(elems),
+                             lambda i, j: self.leq(elems[i], elems[j]))
         return FinPoset(rows), elems
 
     def relabel(self, perm) -> "FinPoset":

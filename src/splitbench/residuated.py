@@ -2,9 +2,10 @@
 
 from dataclasses import dataclass, field
 
+from .diagram import CIRL, search_embedding, si_structure
 from .errors import AxiomError, BadParameter, NotACongruenceFilter
 from .lattice import FinLattice
-from .poset import FinPoset, bits, popcount
+from .poset import FinPoset, bits, popcount, relation_rows
 
 
 class CIRLTable:
@@ -91,8 +92,6 @@ def validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
     for x in range(n):
         if mul[x][one] != x or mul[one][x] != x:
             raise AxiomError(f"unit law fails at x={x}")
-        if not leq(x, one):
-            raise AxiomError(f"integrality fails at x={x}")
     for x in range(n):
         for y in range(n):
             if mul[x][y] != mul[y][x]:
@@ -137,14 +136,7 @@ def wajsberg_hoop(n: int) -> CIRLTable:
     """
     if n < 2:
         raise BadParameter("hoop needs at least two elements")
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if j <= i:
-                row |= 1 << j
-        rows.append(row)
-    lat = FinLattice(FinPoset(rows))
+    lat = FinLattice(FinPoset(relation_rows(n, lambda i, j: j <= i)))
     mul = [[min(n - 1, a + b) for b in range(n)] for a in range(n)]
     arrow = [[max(0, b - a) for b in range(n)] for a in range(n)]
     return validate_cirl(lat, mul, arrow)
@@ -174,26 +166,18 @@ class MonolithInfo:
 
 
 def monolith_info(alg: CIRLTable) -> MonolithInfo:
-    """SI detection plus the monolith filter and its power depth."""
-    one = alg.one
-    coatoms = [x for x in range(alg.size)
-               if x != one and popcount(alg.lattice.poset.up[x]) == 2]
-    strictly_negative = [x for x in range(alg.size) if x != one]
-    top_neg = [c for c in coatoms
-               if all(alg.leq(x, c) for x in strictly_negative)]
-    if len(top_neg) != 1:
+    """SI detection plus the coatom, the monolith filter and its power depth.
+
+    SI-ness and the monolith bottom come from ``si_structure``.  In an SI
+    algebra 1 is join-irreducible, because (a|b)^(2k) <= a^k | b^k, so
+    the join of everything below 1 is the unique coatom.
+    """
+    si = si_structure(alg, CIRL)
+    if not si.is_si:
         return MonolithInfo(is_si=False)
-    coatom = top_neg[0]
-    filters = congruence_filters(alg)
-    nontrivial = [f for f in filters if f != 1 << one]
-    if not nontrivial:
-        return MonolithInfo(is_si=False)
-    mu = min(nontrivial, key=popcount)
-    if any(mu & ~f for f in nontrivial):
-        # some nontrivial congruence does not contain the candidate monolith
-        return MonolithInfo(is_si=False)
-    mu_bottom = next(x for x in bits(mu)
-                     if not (mu & ~alg.lattice.poset.up[x]))
+    one, lat = alg.one, alg.lattice
+    coatom = lat.join_all(lat.poset.all_mask & ~(1 << one))
+    mu = lat.poset.up[si.mu_bottom]
     depth = 0
     for a in bits(mu):
         if a == one:
@@ -204,7 +188,7 @@ def monolith_info(alg: CIRLTable) -> MonolithInfo:
             cur = alg.mul[cur][a]
             k += 1
         depth = max(depth, k)
-    return MonolithInfo(True, coatom, mu, mu_bottom, depth)
+    return MonolithInfo(True, coatom, mu, si.mu_bottom, depth)
 
 
 def truncated_product(a: CIRLTable, b: CIRLTable,
@@ -232,17 +216,11 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
 
-    def pair_leq(e, f):
-        return a.leq(e[0], f[0]) and b.leq(e[1], f[1])
+    def pair_leq(i, j):
+        (x, u), (y, v) = elems[i], elems[j]
+        return a.leq(x, y) and b.leq(u, v)
 
-    rows = []
-    for e in elems:
-        row = 0
-        for j, f in enumerate(elems):
-            if pair_leq(e, f):
-                row |= 1 << j
-        rows.append(row)
-    lat = FinLattice(FinPoset(rows))
+    lat = FinLattice(FinPoset(relation_rows(n, pair_leq)))
 
     def clip(e):
         # products of cone elements stay in the cone, but guard anyway
@@ -296,14 +274,8 @@ def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
             proj[x] = len(reps)
             reps.append(x)
     n = len(reps)
-    rows = []
-    for r in reps:
-        row = 0
-        for k, s in enumerate(reps):
-            if equiv(alg.join(r, s), s):
-                row |= 1 << k
-        rows.append(row)
-    lat = FinLattice(FinPoset(rows))
+    lat = FinLattice(FinPoset(relation_rows(
+        n, lambda i, k: equiv(alg.join(reps[i], reps[k]), reps[k]))))
     mul = [[proj[alg.mul[reps[i]][reps[j]]] for j in range(n)]
            for i in range(n)]
     arrow = [[proj[alg.res(reps[i], reps[j])] for j in range(n)]
@@ -317,8 +289,6 @@ def find_embedding(a: CIRLTable, b: CIRLTable):
     Backtracks over elements in lattice-rank order so that every op
     instance is checked as soon as its arguments are placed.
     """
-    from .diagram import CIRL, search_embedding
-
     return search_embedding(a, b, CIRL)
 
 

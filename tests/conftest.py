@@ -6,8 +6,9 @@ import pytest
 
 from splitbench.lattice import FinLattice
 from splitbench.poset import (FinPoset, bits, build_poset, canonical_key,
-                              enumerate_posets, is_connected)
-from splitbench.residuated import CIRLTable, derive_arrow, validate_cirl
+                              enumerate_posets, is_connected, popcount)
+from splitbench.residuated import (CIRLTable, MonolithInfo, congruence_filters,
+                                   derive_arrow, validate_cirl)
 from splitbench.errors import NotALattice, SplitbenchError
 
 
@@ -189,6 +190,40 @@ def oracle_dp_congruences(alg) -> list[frozenset]:
                     nxt.append(j)
         frontier = nxt
     return sorted(seen, key=lambda c: (len(c), sorted(map(sorted, c))))
+
+
+def oracle_monolith_info(alg: CIRLTable) -> MonolithInfo:
+    """SI detection by a coatom scan and the least nontrivial congruence
+    filter, with the monolith's power depth, all from the tables."""
+    one = alg.one
+    coatoms = [x for x in range(alg.size)
+               if x != one and popcount(alg.lattice.poset.up[x]) == 2]
+    strictly_negative = [x for x in range(alg.size) if x != one]
+    top_neg = [c for c in coatoms
+               if all(alg.leq(x, c) for x in strictly_negative)]
+    if len(top_neg) != 1:
+        return MonolithInfo(is_si=False)
+    coatom = top_neg[0]
+    nontrivial = [f for f in congruence_filters(alg) if f != 1 << one]
+    if not nontrivial:
+        return MonolithInfo(is_si=False)
+    mu = min(nontrivial, key=popcount)
+    if any(mu & ~f for f in nontrivial):
+        # some nontrivial congruence does not contain the candidate monolith
+        return MonolithInfo(is_si=False)
+    mu_bottom = next(x for x in bits(mu)
+                     if not (mu & ~alg.lattice.poset.up[x]))
+    depth = 0
+    for a in bits(mu):
+        if a == one:
+            continue
+        # least n with a^(n+1) = a^n; the loop counts strict power drops
+        k, cur = 1, a
+        while alg.mul[cur][a] != cur:
+            cur = alg.mul[cur][a]
+            k += 1
+        depth = max(depth, k)
+    return MonolithInfo(True, coatom, mu, mu_bottom, depth)
 
 
 def oracle_in_hs(a, b, sig) -> bool:

@@ -86,20 +86,60 @@ def _two_element(**changes):
     return obj
 
 
-@pytest.mark.parametrize("obj, message", [
-    ([1, 2], "top-level JSON value is not an object"),
-    ({"kind": "poset", "size": 3, "le": [[0, 1, 2]]},
+_CHAIN2 = {"kind": "poset", "size": 2, "le": [[0, 1]]}
+_ONE_BY_ONE = {"kind": "hplus", "size": True, "meet": [[0]], "join": [[0]],
+               "arrow": [[0]], "dpc": [0], "zero": 0, "one": 0}
+
+
+@pytest.mark.parametrize("obj, command, message", [
+    ([1, 2], ["validate"], "top-level JSON value is not an object"),
+    ({"kind": "poset", "size": 3, "le": [[0, 1, 2]]}, ["validate"],
      "le[0] is not a pair"),
-    (_two_element(dpc=[-1, 0]), "table dpc at (0) = -1"),
-    (_two_element(one=True), "constant one = True"),
-    (_two_element(meet=[[0, 5], [5, 1]]), "table meet at (0,1) = 5"),
+    (_two_element(dpc=[-1, 0]), ["validate"], "table dpc at (0) = -1"),
+    (_two_element(one=True), ["validate"], "constant one = True"),
+    (_two_element(meet=[[0, 5], [5, 1]]), ["validate"],
+     "table meet at (0,1) = 5"),
+    ({"kind": "poset", "size": True, "le": []}, ["validate"],
+     "poset size = True"),
+    (_ONE_BY_ONE, ["validate"], "algebra size = True"),
+    ({**_CHAIN2, "bot": "0", "top": 1}, ["validate"], "bot = '0'"),
+    ({**_CHAIN2, "bot": 0, "top": 5}, ["validate"], "top = 5"),
+    (_CHAIN2, ["filtrate", "--gens", "x"], "argument --gens"),
+    (_CHAIN2, ["filtrate", "--gens", "99"], "--gens mask 99"),
 ], ids=["array", "le-triple", "negative-dpc", "bool-constant",
-        "meet-out-of-range"])
-def test_malformed_input_exits_three(tmp_path, capsys, obj, message):
+        "meet-out-of-range", "bool-poset-size", "bool-algebra-size",
+        "string-bot", "top-out-of-range", "gens-not-int",
+        "gens-outside-poset"])
+def test_malformed_input_exits_three(tmp_path, capsys, obj, command, message):
     path = write(tmp_path, "bad.json", obj)
-    assert cli.run(["validate", path]) == 3
+    argv = [command[0], path, *command[1:]]
+    try:
+        code = cli.run(argv)
+    except SystemExit as stop:     # argparse usage errors
+        code = stop.code
+    assert code == 3
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def test_usage_errors_and_bad_caps_exit_three(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as stop:
+        cli.run(["hoop"])
+    assert stop.value.code == 3
+    assert "required: n" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        cli.run(["--budget", "lots", "hoop", "3"])
+    assert stop.value.code == 3
+    assert "--budget" in capsys.readouterr().err
+    for env in (cli.ENV_MAX_POSET, cli.ENV_MAX_UPSETS, cli.ENV_BUDGET):
+        monkeypatch.setenv(env, "lots")
+        with pytest.raises(SystemExit) as stop:
+            cli.run(["hoop", "3"])
+        assert stop.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and env in captured.err
+        monkeypatch.delenv(env)
+    assert cli.run(["hoop", "3"]) == 0
 
 
 def test_hoop_expand_pipeline(tmp_path, capsys):

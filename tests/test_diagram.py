@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import all_lattices, all_posets, enumerate_cirls, oracle_in_hs
+from conftest import (all_lattices, all_posets, enumerate_cirls, oracle_in_hs,
+                      oracle_monolith_info)
 from splitbench.cli import algebra_from_json, upalgebra_to_json
 from splitbench.diagram import (CIRL, DHEYTING, HPLUS, Assignment,
                                 TableAlgebra, build_diagram,
@@ -56,7 +57,7 @@ def test_si_structure_matches_monolith_info():
     algebras = [c for lat in all_lattices(5) for c in enumerate_cirls(lat)]
     algebras += [wajsberg_hoop(n) for n in range(2, 7)]
     for a in algebras:
-        info = monolith_info(a)
+        info = oracle_monolith_info(a)
         got = si_structure(a, CIRL)
         assert got.is_si == info.is_si
         assert got.mu_bottom == info.mu_bottom

@@ -257,6 +257,16 @@ def test_dp_congruences_match_algebraic_oracle():
         assert dp_congruences(alg) == oracle_dp_congruences(alg), repr(p)
 
 
+def test_up_set_laws_hold_beyond_size_five():
+    # up_set_algebra trusts the duality; the loader re-checks every law of
+    # each kind on the tables, past c08's family of posets of size <= 5
+    for p in (fence(7), antichain(6)):
+        alg = up_set_algebra(p)
+        for kind in ("heyting", "hplus", "dheyting", "dp"):
+            table = cli.algebra_from_json(cli.upalgebra_to_json(alg, kind))
+            assert table.size == alg.size, (repr(p), kind)
+
+
 def test_varlet_report_survives_dp_json_round_trip():
     for p in all_posets(4):
         alg = up_set_algebra(p)

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import all_lattices, chain, enumerate_cirls
+from conftest import (all_lattices, chain, enumerate_cirls,
+                      oracle_monolith_info)
 from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter)
 from splitbench.lattice import FinLattice
@@ -81,6 +82,22 @@ def test_monolith_info_on_hoops():
         assert info.depth == n - 1
         assert info.mu_bottom == n - 1
         assert info.mu_filter == (1 << n) - 1
+
+
+def test_monolith_info_matches_filter_oracle():
+    # si_structure's idempotent-join rule against the coatom scan and the
+    # least nontrivial congruence filter, on all five fields
+    from splitbench.expansion import expand_to_depth
+
+    algebras = [c for lat in all_lattices(6) for c in enumerate_cirls(lat)]
+    algebras += [wajsberg_hoop(n) for n in range(2, 8)]
+    for n in (2, 3, 4):
+        for depth in (2, 4, 8):
+            algebras.append(expand_to_depth(wajsberg_hoop(n), depth).algebra)
+    si = sum(oracle_monolith_info(a).is_si for a in algebras)
+    assert 0 < si < len(algebras)
+    for a in algebras:
+        assert monolith_info(a) == oracle_monolith_info(a)
 
 
 def test_truncated_product():
