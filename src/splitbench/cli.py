@@ -470,15 +470,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _int_or_env(env: str):
-    """int, for a flag whose default is read from ``env`` as a string and
-    converted here, so a bad value names the variable too."""
+def _int_arg(lowest: int | None = None, env: str | None = None):
+    """int for an argument, refused below ``lowest``.  ``env`` names the
+    variable a flag's string default is read from, so a bad value names it
+    too; argparse names the argument."""
+    source = "" if env is None else f" (from the flag or {env})"
+
     def parse(text):
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value {text!r} (from the flag or {env})") from None
+                f"invalid int value {text!r}{source}") from None
+        if lowest is not None and value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"{value} is below the least allowed value {lowest}")
+        return value
     return parse
 
 
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 DEFAULT_UPSET_CAP),
                                ("--budget", ENV_BUDGET,
                                 duality.MORPHISM_BUDGET)):
-        ap.add_argument(flag, type=_int_or_env(env),
+        ap.add_argument(flag, type=_int_arg(env=env),
                         default=os.environ.get(env, str(default)))
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -506,12 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("analyze", _cmd_analyze)
     sp.add_argument("file")
     sp = add("hoop", _cmd_hoop)
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=_int_arg(2))
     sp = add("expand", _cmd_expand)
     sp.add_argument("file")
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--depth", type=int)
-    group.add_argument("--rounds", type=int)
+    group.add_argument("--depth", type=_int_arg(0))
+    group.add_argument("--rounds", type=_int_arg(0))
     sp = add("truncprod", _cmd_truncprod)
     sp.add_argument("a")
     sp.add_argument("b")
@@ -528,20 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("q")
     sp = add("powerchain", _cmd_powerchain)
     sp.add_argument("p")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=_int_arg(1))
     sp = add("diagram", _cmd_diagram)
     sp.add_argument("file")
     sp.add_argument("--sig", required=True,
                     choices=["cirl", "hplus", "dheyting"])
     sp = add("witness", _cmd_witness)
     sp.add_argument("file")
-    sp.add_argument("--imax", type=int, default=1)
+    sp.add_argument("--imax", type=_int_arg(0), default=1)
     sp.add_argument("--sig", required=True,
                     choices=["cirl", "hplus", "dheyting"])
     sp = add("hwitness", _cmd_hwitness)
     sp.add_argument("x")
     sp.add_argument("y", help="poset file or 'auto' for a fence choice")
-    sp.add_argument("--n", type=int, default=0)
+    sp.add_argument("--n", type=_int_arg(0), default=0)
     sp.add_argument("--sig", default="hplus", choices=["hplus", "dheyting"])
     sp.add_argument("--check-onto", action="store_true")
     sp = add("morphisms", _cmd_morphisms)

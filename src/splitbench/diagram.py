@@ -246,8 +246,13 @@ def search_hom(a, b, sig, require_injective: bool,
                forbid=None):
     """Backtracking search for an operation-preserving map a -> b.
 
-    Elements are placed in lattice-rank order so every table entry is
-    validated as soon as its arguments and value are all placed.
+    Elements of a are placed in lattice-rank order and tried against the
+    elements of b in order.  Each table entry x*y = r of a is checked
+    once, at the node that places the last of x, y and r; the meet entries
+    cover order preservation.  Pruning only drops values that fail an
+    entry, so the first map found does not depend on when entries are
+    checked.  b's operations are evaluated on demand, not tabulated: a
+    search visits few nodes.
     ``forbid`` is an optional (element, value) pair to exclude, used for
     the diagram-style separation condition.
     """
@@ -255,69 +260,71 @@ def search_hom(a, b, sig, require_injective: bool,
     sig.require(a)
     sig.require(b)
     a_elems = _rank_order(a)
-    pos = {e: i for i, e in enumerate(a_elems)}
-    b_elems = list(b.elements)
     n = len(a_elems)
+    pos = {e: k for k, e in enumerate(a_elems)}
     forced = {}
     for c in sig.consts:
-        e = getattr(a, c)
-        v = getattr(b, c)
-        if e in forced and forced[e] != v:
+        k, v = pos[getattr(a, c)], getattr(b, c)
+        if forced.setdefault(k, v) != v:
             return None
-        forced[e] = v
-    ops = [(getattr(a, meth), getattr(b, meth), ar)
-           for meth, ar in
-           [(m, 2) for _, m in sig.binary] + [(m, 1) for _, m in sig.unary]]
-    assignment = {}
-
-    def consistent(e):
-        fe = assignment[e]
-        for f, ff in assignment.items():
-            if f == e:
-                continue
-            if a.leq(e, f) and not b.leq(fe, ff):
-                return False
-            if a.leq(f, e) and not b.leq(ff, fe):
-                return False
-        placed = list(assignment)
-        for fa, fb, ar in ops:
-            if ar == 1:
-                for x in placed:
-                    r = fa(x)
-                    if r in assignment and e in (x, r):
-                        if fb(assignment[x]) != assignment[r]:
-                            return False
-            else:
-                for x in placed:
-                    for y in placed:
-                        r = fa(x, y)
-                        if r in assignment and e in (x, y, r):
-                            if fb(assignment[x], assignment[y]) != assignment[r]:
-                                return False
-        return True
-
-    def rec(k: int, used: set):
-        if k == n:
-            return dict(assignment)
-        e = a_elems[k]
-        if e in forced:
-            cands = [forced[e]]
-        else:
-            cands = b_elems
-        for v in cands:
+    b_elems = list(b.elements)
+    cands = [[forced[k]] if k in forced else b_elems for k in range(n)]
+    binary = [[] for _ in range(n)]
+    for _, meth in sig.binary:
+        fa, fb = getattr(a, meth), getattr(b, meth)
+        for x in a_elems:
+            for y in a_elems:
+                px, py, pr = pos[x], pos[y], pos[fa(x, y)]
+                binary[max(px, py, pr)].append((fb, px, py, pr))
+    unary = [[] for _ in range(n)]
+    for _, meth in sig.unary:
+        fa, fb = getattr(a, meth), getattr(b, meth)
+        for x in a_elems:
+            px, pr = pos[x], pos[fa(x)]
+            unary[max(px, pr)].append((fb, px, pr))
+    forbid_at, forbid_v = ((pos[forbid[0]], forbid[1]) if forbid is not None
+                           else (-1, None))
+    values = [None] * n
+    next_try = [0] * n
+    used = set()
+    k = 0
+    while k < n:
+        row = cands[k]
+        i = next_try[k]
+        while i < len(row):
+            v = row[i]
+            i += 1
             if require_injective and v in used:
                 continue
-            if forbid is not None and (e, v) == forbid:
+            if k == forbid_at and v == forbid_v:
                 continue
-            assignment[e] = v
-            if consistent(e):
-                got = rec(k + 1, used | {v})
-                if got is not None:
-                    return got
-            del assignment[e]
-        return None
+            values[k] = v
+            if _entries_hold(values, binary[k], unary[k]):
+                break
+        else:
+            # no value left here: retry the previous position
+            k -= 1
+            if k < 0:
+                return None
+            used.discard(values[k])
+            continue
+        next_try[k] = i
+        if require_injective:
+            used.add(v)
+        k += 1
+        if k < n:
+            next_try[k] = 0
+    return dict(zip(a_elems, values))
 
-    return rec(0, set())
+
+def _entries_hold(values, binary, unary) -> bool:
+    for fb, px, py, pr in binary:
+        if fb(values[px], values[py]) != values[pr]:
+            return False
+    for fb, px, pr in unary:
+        if fb(values[px]) != values[pr]:
+            return False
+    return True
 
 
 def search_embedding(a, b, sig):
@@ -475,7 +482,7 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             hoop = wajsberg_hoop(p + 1)
             # the hoop's coatom is its first power
             big = truncated_product(e, hoop, exp.info.coatom, 1)
-            w = _canonical_tuple(a, e, exp.embedding, exp.info, hoop, big)
+            w = _canonical_tuple(a, e, exp.embedding, hoop, big)
             excluded = None if small else not in_hs(a, big, sig)
         witness = delta_power_witness(a, big, i, sig, candidates=[w])
         report.entries.append(WitnessEntry(
@@ -488,7 +495,7 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
     return report
 
 
-def _canonical_tuple(a, e, embedding, e_info, hoop, big):
+def _canonical_tuple(a, e, embedding, hoop, big):
     """The tuple sending 1 to (1,1) and every other element x to (x, q).
 
     Its diagram value is (c, q), c the coatom of e.  The tuple witnesses

@@ -204,83 +204,116 @@ def classify_map(phi: PosetMap) -> MapClass:
     return MapClass(order_ok, m1, m2, m3)
 
 
-_KIND_FLAGS = {
-    "heyting": lambda c: c.heyting,
-    "hplus": lambda c: c.hplus,
-    "dh": lambda c: c.dheyting,
-}
+MORPHISM_KINDS = frozenset({"heyting", "hplus", "dh"})
 
 
 def enumerate_morphisms(x: FinPoset, y: FinPoset, kind: str = "hplus",
                         surjective_only: bool = False,
                         budget: int = MORPHISM_BUDGET) -> list[PosetMap]:
-    """All maps of the requested kind, via pruned backtracking.
+    """All maps of the requested kind, sorted by ``values``.
 
-    Backtracking prunes on order preservation only; the M-conditions are
-    not monotone under partial assignment and are checked post hoc.
+    The list is the output of ``iter_morphisms``, so it is exact; the sort
+    makes it independent of the order the search assigns points in.
     """
-    return list(iter_morphisms(x, y, kind, surjective_only, budget))
+    return sorted(iter_morphisms(x, y, kind, surjective_only, budget),
+                  key=lambda phi: phi.values)
 
 
 def iter_morphisms(x: FinPoset, y: FinPoset, kind: str = "hplus",
                    surjective_only: bool = False,
                    budget: int = MORPHISM_BUDGET):
-    if kind not in _KIND_FLAGS:
+    """Yield the maps x -> y of the requested kind, by backtracking.
+
+    Points are assigned top-down, so all of up(e) is placed with e and
+    M1 (the image of up(e) is up(f(e))) is checked at e's node; it implies
+    order preservation.  M2 (down-sets, for ``dh``) and M3 (minimal
+    elements below, for ``hplus``) are checked at the node that places
+    the last point they read (forward checking, Haralick & Elliott 1980).
+    Every yielded map therefore passes ``classify_map`` for its kind.
+    ``budget`` caps the search nodes: one per value tried for a point,
+    and only the values M1 allows there are tried.
+    """
+    if kind not in MORPHISM_KINDS:
         raise BadParameter(f"unknown morphism kind {kind!r}")
-    flag = _KIND_FLAGS[kind]
     n, m = x.size, y.size
     if surjective_only and m > n:
         return
-    # assign along a linear extension so comparabilities point backwards
-    order = sorted(range(n), key=lambda i: popcount(x.down[i]))
-    pos = {e: k for k, e in enumerate(order)}
+    # a reverse linear extension: every point comes after all above it
+    order = sorted(range(n), key=lambda i: popcount(x.up[i]))
+    pos = [0] * n
+    for k, e in enumerate(order):
+        pos[e] = k
+    strictly_above = [x.up[e] & ~(1 << e) for e in range(n)]
+    upper_covers = [[c for c in bits(s) if not s & x.down[c] & ~(1 << c)]
+                    for s in strictly_above]
+    # M2 and M3 as (e, points read, table): the image of the points read
+    # must be table[f(e)]; each is kept at the position of its last point
+    watch = [[] for _ in range(n)]
+    if kind == "dh":
+        for e in range(n):
+            reads = list(bits(x.down[e]))
+            watch[max(pos[d] for d in reads)].append((e, reads, y.down))
+    if kind == "hplus":
+        xmin, ymin = x.minimals(), y.minimals()
+        min_below = [y.down[v] & ymin for v in range(m)]
+        for e in range(n):
+            reads = list(bits(x.down[e] & xmin))
+            watch[max(pos[d] for d in reads)].append((e, reads, min_below))
     values = [0] * n
+    img_up = [0] * n           # image of up(e), once e is placed
+    above = [0] * n            # image of the points strictly above order[k]
+    image = [0] * (n + 1)      # image of the first k placed points
+    cands = [0] * n            # values still to try at each position
     nodes = 0
-    # every kind includes the principal-up-set condition, whose image
-    # cannot grow; the down-set condition only binds for the dh kind
-    up_x = [popcount(x.up[i]) for i in range(n)]
-    up_y = [popcount(y.up[j]) for j in range(m)]
-    down_bound = kind == "dh"
-    down_x = [popcount(x.down[i]) for i in range(n)]
-    down_y = [popcount(y.down[j]) for j in range(m)]
-
-    def rec(k: int, image: int):
-        nonlocal nodes
-        if k == n:
-            if surjective_only and image != y.all_mask:
-                return
-            phi = PosetMap(x, y, tuple(values))
-            if flag(classify_map(phi)):
-                yield phi
-            return
+    k = 0
+    cands[0] = _m1_domain(y, 0)
+    while k >= 0:
+        c = cands[k]
+        if not c:
+            k -= 1
+            continue
+        low = c & -c
+        cands[k] = c ^ low
+        nodes += 1
+        if nodes > budget:
+            raise SizeError("morphism search budget exceeded")
+        img = image[k] | low
+        if surjective_only and popcount(y.all_mask & ~img) > n - k - 1:
+            continue
         e = order[k]
-        earlier = [d for d in bits(x.up[e] | x.down[e]) if pos[d] < k and d != e]
-        for v in range(m):
-            nodes += 1
-            if nodes > budget:
-                raise SizeError("morphism search budget exceeded")
-            if up_y[v] > up_x[e]:
-                continue
-            if down_bound and down_y[v] > down_x[e]:
-                continue
-            ok = True
-            for d in earlier:
-                fd = values[d]
-                if x.leq(d, e) and not y.leq(fd, v):
-                    ok = False
-                    break
-                if x.leq(e, d) and not y.leq(v, fd):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img2 = image | (1 << v)
-            if surjective_only and popcount(y.all_mask & ~img2) > n - k - 1:
-                continue
-            values[e] = v
-            yield from rec(k + 1, img2)
+        values[e] = low.bit_length() - 1
+        if not all(_image(values, reads) == target[values[d]]
+                   for d, reads, target in watch[k]):
+            continue
+        img_up[e] = above[k] | low
+        if k + 1 == n:
+            if not surjective_only or img == y.all_mask:
+                yield PosetMap(x, y, tuple(values))
+            continue
+        k += 1
+        image[k] = img
+        up_image = 0
+        for d in upper_covers[order[k]]:
+            up_image |= img_up[d]
+        above[k] = up_image
+        cands[k] = _m1_domain(y, up_image)
 
-    yield from rec(0, 0)
+
+def _m1_domain(y: FinPoset, above: int) -> int:
+    """Mask of the v with up(v) = above + {v}: the values M1 allows for a
+    point whose strict up-set has image ``above``."""
+    dom = 0
+    for v in range(y.size):
+        if y.up[v] == above | (1 << v):
+            dom |= 1 << v
+    return dom
+
+
+def _image(values: list[int], points: list[int]) -> int:
+    out = 0
+    for d in points:
+        out |= 1 << values[d]
+    return out
 
 
 def never_maps_onto(x: FinPoset, y: FinPoset,

@@ -11,7 +11,7 @@ from .poset import FinPoset, bits, popcount, relation_rows
 class FinLattice:
     """A finite lattice on a FinPoset, with meet/join tables."""
 
-    __slots__ = ("poset", "meet", "join", "zero", "one")
+    __slots__ = ("poset", "meet", "join", "zero", "one", "_distributive")
 
     def __init__(self, poset: FinPoset):
         n = poset.size
@@ -34,6 +34,7 @@ class FinLattice:
         self.join = join
         self.zero = _unique_extremum(poset, poset.all_mask, want_max=False)
         self.one = _unique_extremum(poset, poset.all_mask, want_max=True)
+        self._distributive = ...    # not yet checked
 
     @property
     def size(self) -> int:
@@ -58,7 +59,15 @@ class FinLattice:
         return self.distributive_failure() is None
 
     def distributive_failure(self) -> tuple[int, int, int] | None:
-        """The first (x, y, z) with x & (y | z) != (x & y) | (x & z)."""
+        """The first (x, y, z) with x & (y | z) != (x & y) | (x & z).
+
+        The O(n^3) scan runs once per lattice; its answer is kept.
+        """
+        if self._distributive is ...:
+            self._distributive = self._scan_distributive()
+        return self._distributive
+
+    def _scan_distributive(self) -> tuple[int, int, int] | None:
         n = self.size
         meet, join = self.meet, self.join
         for x in range(n):

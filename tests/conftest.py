@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from splitbench.diagram import _rank_order, get_signature
 from splitbench.lattice import FinLattice
 from splitbench.poset import (FinPoset, bits, build_poset, canonical_key,
                               enumerate_posets, is_connected, popcount)
@@ -269,6 +270,83 @@ def oracle_in_hs(a, b, sig) -> bool:
         if search_embedding(a, q, sig) is not None:
             return True
     return False
+
+
+def oracle_search_hom(a, b, sig, require_injective: bool,
+                      forbid=None):
+    """Operation-preserving map a -> b by rescanning every placed pair.
+
+    Same placement order as ``search_hom`` (rank order of a, value order
+    of b), but each node re-checks the order and every table entry among
+    the placed elements, so the first map found is the same.
+    """
+    sig = get_signature(sig)
+    sig.require(a)
+    sig.require(b)
+    a_elems = _rank_order(a)
+    pos = {e: i for i, e in enumerate(a_elems)}
+    b_elems = list(b.elements)
+    n = len(a_elems)
+    forced = {}
+    for c in sig.consts:
+        e = getattr(a, c)
+        v = getattr(b, c)
+        if e in forced and forced[e] != v:
+            return None
+        forced[e] = v
+    ops = [(getattr(a, meth), getattr(b, meth), ar)
+           for meth, ar in
+           [(m, 2) for _, m in sig.binary] + [(m, 1) for _, m in sig.unary]]
+    assignment = {}
+
+    def consistent(e):
+        fe = assignment[e]
+        for f, ff in assignment.items():
+            if f == e:
+                continue
+            if a.leq(e, f) and not b.leq(fe, ff):
+                return False
+            if a.leq(f, e) and not b.leq(ff, fe):
+                return False
+        placed = list(assignment)
+        for fa, fb, ar in ops:
+            if ar == 1:
+                for x in placed:
+                    r = fa(x)
+                    if r in assignment and e in (x, r):
+                        if fb(assignment[x]) != assignment[r]:
+                            return False
+            else:
+                for x in placed:
+                    for y in placed:
+                        r = fa(x, y)
+                        if r in assignment and e in (x, y, r):
+                            if fb(assignment[x], assignment[y]) != assignment[r]:
+                                return False
+        return True
+
+    def rec(k: int, used: set):
+        if k == n:
+            return dict(assignment)
+        e = a_elems[k]
+        if e in forced:
+            cands = [forced[e]]
+        else:
+            cands = b_elems
+        for v in cands:
+            if require_injective and v in used:
+                continue
+            if forbid is not None and (e, v) == forbid:
+                continue
+            assignment[e] = v
+            if consistent(e):
+                got = rec(k + 1, used | {v})
+                if got is not None:
+                    return got
+            del assignment[e]
+        return None
+
+    return rec(0, set())
 
 
 def lattices_isomorphic(a: FinLattice, b: FinLattice) -> bool:

@@ -155,7 +155,7 @@ def test_c05_witness_tuple():
             hoop = wajsberg_hoop(p + 1)
             big = truncated_product(e, hoop)
             pair_of = _pair_index(e, hoop, big)
-            w = _canonical_tuple(a, e, exp.embedding, e_info, hoop, big)
+            w = _canonical_tuple(a, e, exp.embedding, hoop, big)
             d = build_diagram(a, CIRL)
             value = eval_diagram(d, Assignment(big, w))
             assert value == pair_of[(e_info.coatom, 1)], \

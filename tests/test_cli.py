@@ -131,6 +131,18 @@ def test_usage_errors_and_bad_caps_exit_three(capsys, monkeypatch):
         cli.run(["--budget", "lots", "hoop", "3"])
     assert stop.value.code == 3
     assert "--budget" in capsys.readouterr().err
+    # count arguments out of range are refused before any file is read
+    for argv, name in ((["hoop", "1"], "argument n"),
+                       (["powerchain", "p.json", "0"], "argument n"),
+                       (["witness", "a.json", "--sig", "cirl", "--imax", "-1"],
+                        "--imax"),
+                       (["hwitness", "x.json", "auto", "--n", "-1"], "--n"),
+                       (["expand", "a.json", "--depth", "-1"], "--depth"),
+                       (["expand", "a.json", "--rounds", "-1"], "--rounds")):
+        with pytest.raises(SystemExit) as stop:
+            cli.run(argv)
+        assert stop.value.code == 3, argv
+        assert name in capsys.readouterr().err, argv
     for env in (cli.ENV_MAX_POSET, cli.ENV_MAX_UPSETS, cli.ENV_BUDGET):
         monkeypatch.setenv(env, "lots")
         with pytest.raises(SystemExit) as stop:

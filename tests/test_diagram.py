@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from conftest import (all_lattices, all_posets, enumerate_cirls, oracle_in_hs,
-                      oracle_monolith_info)
+                      oracle_monolith_info, oracle_search_hom)
 from splitbench.cli import algebra_from_json, upalgebra_to_json
 from splitbench.diagram import (CIRL, DHEYTING, HPLUS, Assignment,
                                 TableAlgebra, build_diagram,
                                 delta_power_witness, embedding_by_diagram,
                                 eval_diagram, get_signature, in_hs,
-                                search_embedding, si_structure, witness_suite)
+                                search_embedding, search_hom, si_structure,
+                                witness_suite)
 from splitbench.duality import up_set_algebra
 from splitbench.errors import BadParameter, NotSI, SignatureMismatch
 from splitbench.poset import build_poset, is_connected
@@ -99,6 +100,29 @@ def test_diagram_embedding_agreement_hplus_small_pairs():
             via_diagram = embedding_by_diagram(a, b, HPLUS) is not None
             direct = search_embedding(a, b, HPLUS) is not None
             assert via_diagram == direct
+
+
+def test_search_hom_matches_rescanning_oracle():
+    # same placement order, so the watch-listed search must return the
+    # identical first map, injective and with the diagram's forbid pair
+    si = [c for lat in all_lattices(5) for c in enumerate_cirls(lat)
+          if monolith_info(c).is_si]
+    cases = [(a, b, CIRL) for a in si for b in si]
+    sources = [up_set_algebra(p)
+               for p in all_posets(3, connected_only=True, dedupe=True)]
+    targets = [up_set_algebra(p) for p in all_posets(4, dedupe=True)]
+    cases += [(a, b, sig) for sig in (HPLUS, DHEYTING)
+              for a in sources for b in targets]
+    found = 0
+    for a, b, sig in cases:
+        got = search_hom(a, b, sig, require_injective=True)
+        assert got == oracle_search_hom(a, b, sig, require_injective=True)
+        forbid = (si_structure(a, sig).mu_bottom, b.one)
+        hom = search_hom(a, b, sig, require_injective=False, forbid=forbid)
+        assert hom == oracle_search_hom(a, b, sig, require_injective=False,
+                                        forbid=forbid)
+        found += got is not None
+    assert len(cases) == 35 * 35 + 2 * 5 * 24 and found
 
 
 def test_delta_power_monotone_in_i():
@@ -217,7 +241,7 @@ def test_two_element_tuple_value():
     hoop = wajsberg_hoop(_first_prime_at_least(e.size) + 1)
     big = truncated_product(e, hoop)
     pair_of = _pair_index(e, hoop, big)
-    w = _canonical_tuple(c2, e, exp.embedding, e_info, hoop, big)
+    w = _canonical_tuple(c2, e, exp.embedding, hoop, big)
     assert w[c2.one] == pair_of[(e.one, hoop.one)]
     assert w[1] == pair_of[(exp.embedding[1], 1)]
     d = build_diagram(c2, CIRL)
@@ -243,7 +267,7 @@ def test_some_assignment_witnesses_the_depth_boundary():
     m = exp.depth
     hoop = wajsberg_hoop(_first_prime_at_least(e.size) + 1)
     big = truncated_product(e, hoop)
-    w = _canonical_tuple(a, e, exp.embedding, monolith_info(e), hoop, big)
+    w = _canonical_tuple(a, e, exp.embedding, hoop, big)
     d = build_diagram(a, CIRL)
     value = eval_diagram(d, Assignment(big, w))
     mu_pos = d.position(monolith_info(a).mu_bottom)

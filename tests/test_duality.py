@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import (all_posets, antichain, chain, crown4, fence,
@@ -104,6 +106,28 @@ def test_enumerate_morphisms_singleton_and_counts():
     assert enumerate_morphisms(f, ch2, "hplus", surjective_only=True)
     assert not enumerate_morphisms(vee(), chain(3), "hplus",
                                    surjective_only=True)
+
+
+def test_enumerate_morphisms_matches_brute_force():
+    # every map of a labelled poset of size <= 4 into each poset of size
+    # <= 4 is classified once; the search must list exactly those of the
+    # kind, sorted by values, with and without surjectivity
+    kinds = {"heyting": lambda c: c.heyting, "hplus": lambda c: c.hplus,
+             "dh": lambda c: c.dheyting}
+    xs, ys = all_posets(4), all_posets(4, dedupe=True)
+    assert (len(xs), len(ys)) == (50, 24)
+    for x in xs:
+        for y in ys:
+            classified = [
+                (vals, classify_map(PosetMap(x, y, vals)))
+                for vals in itertools.product(range(y.size), repeat=x.size)]
+            for kind, flag in kinds.items():
+                maps = [v for v, c in classified if flag(c)]
+                onto = [v for v in maps if len(set(v)) == y.size]
+                for surjective, want in ((False, maps), (True, onto)):
+                    got = enumerate_morphisms(x, y, kind, surjective)
+                    assert [m.values for m in got] == want, \
+                        (repr(x), repr(y), kind, surjective)
 
 
 def test_order_isolated_obstruction():

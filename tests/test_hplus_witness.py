@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import chain, crown4, fence, vee
+from splitbench.diagram import double_point
 from splitbench.duality import UpSetAlgebra, enumerate_morphisms, up_set_algebra
 from splitbench.errors import BadParameter
 from splitbench.hplus_witness import (build_witness_algebra, chi, chi_plus,
@@ -194,6 +195,19 @@ def test_never_maps_onto_check_small_instances():
     assert never_maps_onto_check(down_only, fence_for_target(down_only), 1)
     up_only = dp(fence(3, start_up=False), 1, 0)
     assert never_maps_onto_check(up_only, fence_for_target(up_only), 1)
+
+
+def test_never_maps_onto_check_node_budgets():
+    # budget counts search nodes, so these bounds do not depend on the
+    # machine; checking M1 and M3 at the node where they are determined
+    # needs 766 and 13,448 nodes, where checking them only on complete
+    # maps needed more than 5M and 4,537,688
+    crown = dp(crown4(), 0, 2)
+    assert never_maps_onto_check(crown, fence_for_target(crown), 3,
+                                 budget=10_000)
+    claw = double_point(build_poset(4, [(0, 3), (1, 3), (2, 3)]))
+    assert never_maps_onto_check(claw, fence_for_target(claw), 2,
+                                 budget=50_000)
 
 
 def test_glued_fence_images():
