@@ -13,7 +13,7 @@ import sys
 
 from . import diagram as diagram_mod
 from . import duality, filtration, hplus_witness, residuated
-from .errors import AxiomError, FormatError, SizeError, SplitbenchError
+from .errors import FormatError, SizeError, SplitbenchError
 from .lattice import FinLattice, all_splitting_pairs
 from .poset import (DEFAULT_UPSET_CAP, DoublePointedPoset, FinPoset,
                     MAX_POSET_SIZE, bits, build_poset, find_tails,
@@ -124,7 +124,7 @@ def upalgebra_to_json(alg: duality.UpSetAlgebra, kind: str = "hplus") -> dict:
 
 def algebra_from_json(obj):
     kind = obj.get("kind")
-    if kind not in diagram_mod.KINDS:
+    if not isinstance(kind, str) or kind not in diagram_mod.KINDS:
         raise FormatError(f"unknown algebra kind {kind!r}")
     sig = diagram_mod.KINDS[kind]
     size = _check_size(obj, "algebra")
@@ -161,46 +161,8 @@ def algebra_from_json(obj):
         if obj["one"] != lat.one:
             raise FormatError("unit is not the lattice top")
         return residuated.validate_cirl(lat, tables["mul"], tables["arrow"])
-    alg = diagram_mod.TableAlgebra(kind, lat, tables,
-                                   {c: obj[c] for c in sig.consts})
-    _validate_order_algebra(alg)
-    return alg
-
-
-def _validate_order_algebra(alg):
-    lat, kind, n = alg.lattice, alg.kind, alg.size
-    if alg.zero != lat.zero or alg.one != lat.one:
-        raise AxiomError("constants are not the lattice bounds")
-    if kind in ("heyting", "hplus", "dheyting"):
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if lat.leq(lat.meet[z][x], y) != lat.leq(z, alg.arrow(x, y)):
-                        raise AxiomError(f"arrow residuation fails at "
-                                         f"({x},{y},{z})")
-    if kind == "dheyting":
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if lat.leq(x, lat.join[z][y]) != lat.leq(alg.coarrow(x, y), z):
-                        raise AxiomError(f"coarrow residuation fails at "
-                                         f"({x},{y},{z})")
-    if kind in ("hplus", "dp"):
-        for x in range(n):
-            for y in range(n):
-                if (lat.join[x][y] == lat.one) != lat.leq(alg.dpc(x), y):
-                    raise AxiomError(f"dual pseudocomplement law fails at "
-                                     f"({x},{y})")
-    if kind == "dp":
-        # Varlet's conditions and the dual hold for distributive lattices
-        bad = lat.distributive_failure()
-        if bad is not None:
-            raise AxiomError("distributive law fails at ({},{},{})".format(*bad))
-        for x in range(n):
-            for y in range(n):
-                if (lat.meet[x][y] == lat.zero) != lat.leq(y, alg.neg(x)):
-                    raise AxiomError(f"pseudocomplement law fails at "
-                                     f"({x},{y})")
+    return residuated.validate_order_algebra(
+        kind, lat, tables, {c: obj[c] for c in sig.consts})
 
 
 # -- helpers ---------------------------------------------------------------

@@ -357,8 +357,7 @@ def embedding_by_diagram(a, b, sig):
     return asg
 
 
-def delta_power_witness(a, b, i: int, sig, candidates=(),
-                        cap: int = ASSIGNMENT_CAP):
+def delta_power_witness(a, b, i: int, sig, candidates=()):
     """Assignment with the i-fold delta of the diagram not below the
     monolith-bottom variable, or None after exhaustive search."""
     sig = get_signature(sig)
@@ -383,8 +382,8 @@ def delta_power_witness(a, b, i: int, sig, candidates=(),
             return got
     b_elems = list(b.elements)
     total = len(b_elems) ** d.var_count
-    if total > cap:
-        raise SizeError(f"{total} assignments exceed cap {cap}")
+    if total > ASSIGNMENT_CAP:
+        raise SizeError(f"{total} assignments exceed cap {ASSIGNMENT_CAP}")
     for values in itertools.product(b_elems, repeat=d.var_count):
         got = check(values)
         if got is not None:

@@ -4,7 +4,7 @@ under a chosen family of up-sets."""
 from dataclasses import dataclass
 
 from .duality import UpSetAlgebra
-from .errors import AxiomError, NotAnUpSet, PreconditionError
+from .errors import NotAnUpSet, PreconditionError
 from .poset import FinPoset, bits
 
 
@@ -29,8 +29,8 @@ def filtrate(x: FinPoset, family) -> Filtrate:
     """Collapse points no member of the family separates.
 
     The quotient order is the transitive closure of the pointwise
-    comparison of classes; its antisymmetry is asserted (it holds
-    because separated classes have distinct membership vectors).
+    comparison of classes.  FinPoset asserts its antisymmetry, which
+    holds because separated classes have distinct membership vectors.
     """
     family = list(family)
     for u in family:
@@ -57,10 +57,6 @@ def filtrate(x: FinPoset, family) -> Filtrate:
         for i in range(n):
             if rows[i] & kbit:
                 rows[i] |= rows[k]
-    for i in range(n):
-        for j in bits(rows[i]):
-            if i != j and rows[j] & (1 << i):
-                raise AxiomError("quotient order is not antisymmetric")
     q = FinPoset(rows)
     return Filtrate(x, family, class_of, classes, q, UpSetAlgebra(q))
 

@@ -8,7 +8,8 @@ carrier avoid mapping onto a given space.
 
 from dataclasses import dataclass
 
-from .diagram import Assignment, build_diagram, eval_diagram, get_signature
+from .diagram import (HPLUS, Assignment, build_diagram, eval_diagram,
+                      get_signature)
 from .duality import UpSetAlgebra, never_maps_onto, up_set_algebra
 from .errors import AxiomError, BadParameter
 from .poset import (DoublePointedPoset, FinPoset, bits, build_poset,
@@ -29,55 +30,39 @@ def _parts_masks(glued: DoublePointedPoset) -> tuple[int, int]:
     return left, right
 
 
-def _ring_ops(alg: UpSetAlgebra, left: int):
-    """Operations of the up-set algebra of the left part, as masks of the
-    glued carrier.
+def _comparison(glued: DoublePointedPoset, u: int, v: int,
+                last: str) -> tuple[int, int, int]:
+    """Meet of the iffs comparing the operations of the left part's up-set
+    algebra with the glued carrier's on u and v: meet, join, arrow, then
+    ``last``, the coarrow or the dual pseudocomplement of u.
 
+    Returns the value, the left mask and the inner value of ``last``.
     Up-closures of left subsets stay left; down-closures are clipped.
     """
+    alg = UpSetAlgebra(glued.poset)
     p = alg.base
-
-    def meet(u, v):
-        return u & v
-
-    def join(u, v):
-        return u | v
-
-    def arrow(u, v):
-        return left & ~p.down_mask(u & ~v)
-
-    def coarrow(u, v):
-        return p.up_mask(u & ~v)
-
-    def dpc(u):
-        return p.up_mask(left & ~u)
-
-    return meet, join, arrow, coarrow, dpc
-
-
-def _check_left_up_sets(alg: UpSetAlgebra, left: int, *masks):
-    for m in masks:
+    left, _ = _parts_masks(glued)
+    for m in (u, v):
         if m & ~left:
             raise BadParameter("operand is not contained in the left part")
-        if not alg.base.is_up_set(m):
+        if not p.is_up_set(m):
             raise BadParameter("operand is not an up-set of the carrier")
+    pairs = [(u & v, alg.meet(u, v)), (u | v, alg.join(u, v)),
+             (left & ~p.down_mask(u & ~v), alg.arrow(u, v))]
+    if last == "coarrow":
+        pairs.append((p.up_mask(u & ~v), alg.coarrow(u, v)))
+    else:
+        pairs.append((p.up_mask(left & ~u), alg.dpc(u)))
+    out = alg.one
+    for inner, outer in pairs:
+        out = alg.meet(out, HPLUS.iff(alg, inner, outer))
+    return out, left, pairs[-1][0]
 
 
 def chi(glued: DoublePointedPoset, u: int, v: int) -> int:
     """Conjunction comparing the four inner lattice-and-residual values
     with the outer ones; always the whole left part."""
-    alg = UpSetAlgebra(glued.poset)
-    left, _ = _parts_masks(glued)
-    _check_left_up_sets(alg, left, u, v)
-    rmeet, rjoin, rarrow, rcoarrow, _ = _ring_ops(alg, left)
-
-    def iff(a, b):
-        return alg.meet(alg.arrow(a, b), alg.arrow(b, a))
-
-    out = iff(rmeet(u, v), alg.meet(u, v))
-    out = alg.meet(out, iff(rjoin(u, v), alg.join(u, v)))
-    out = alg.meet(out, iff(rarrow(u, v), alg.arrow(u, v)))
-    out = alg.meet(out, iff(rcoarrow(u, v), alg.coarrow(u, v)))
+    out, left, _ = _comparison(glued, u, v, "coarrow")
     if out != left:
         raise AxiomError("comparison term did not evaluate to the left part")
     return out
@@ -87,21 +72,10 @@ def chi_plus(glued: DoublePointedPoset, u: int, v: int) -> int:
     """Like chi but comparing the dual pseudocomplements; the value is the
     whole left part when its top survives the inner dual pseudocomplement
     of u, and loses the top's cone otherwise."""
-    alg = UpSetAlgebra(glued.poset)
-    left, _ = _parts_masks(glued)
-    _check_left_up_sets(alg, left, u, v)
-    rmeet, rjoin, rarrow, _, rdpc = _ring_ops(alg, left)
-
-    def iff(a, b):
-        return alg.meet(alg.arrow(a, b), alg.arrow(b, a))
-
-    out = iff(rmeet(u, v), alg.meet(u, v))
-    out = alg.meet(out, iff(rjoin(u, v), alg.join(u, v)))
-    out = alg.meet(out, iff(rarrow(u, v), alg.arrow(u, v)))
-    out = alg.meet(out, iff(rdpc(u), alg.dpc(u)))
+    out, left, inner_dpc = _comparison(glued, u, v, "dpc")
     top_left = _left_top(glued)
-    expected = left if rdpc(u) & (1 << top_left) \
-        else left & ~alg.base.down_mask(1 << top_left)
+    expected = left if inner_dpc & (1 << top_left) \
+        else left & ~glued.poset.down_mask(1 << top_left)
     if out != expected:
         raise AxiomError("case split of the dual-pseudocomplement "
                          "comparison failed")

@@ -153,7 +153,8 @@ class FinPoset:
 
 
 def build_poset(size: int, raw_pairs) -> FinPoset:
-    """Reflexive-transitive closure of raw_pairs, if antisymmetric."""
+    """Reflexive-transitive closure of raw_pairs; FinPoset refuses a
+    closure that is not antisymmetric."""
     if size < 1:
         raise BadParameter("size must be >= 1")
     if size > MAX_POSET_SIZE:
@@ -168,10 +169,6 @@ def build_poset(size: int, raw_pairs) -> FinPoset:
         for i in range(size):
             if rows[i] & kbit:
                 rows[i] |= rows[k]
-    for i in range(size):
-        for j in bits(rows[i]):
-            if i != j and rows[j] & (1 << i):
-                raise CycleError(f"closure makes {i} and {j} comparable both ways")
     return FinPoset(rows)
 
 

@@ -1,8 +1,9 @@
-"""Finite commutative integral residuated lattices as explicit tables."""
+"""Finite commutative integral residuated lattices as explicit tables,
+and the table laws of every algebra kind."""
 
 from dataclasses import dataclass, field
 
-from .diagram import CIRL, search_embedding, si_structure
+from .diagram import CIRL, TableAlgebra, search_embedding, si_structure
 from .errors import AxiomError, BadParameter, NotACongruenceFilter
 from .lattice import FinLattice
 from .poset import FinPoset, bits, popcount, relation_rows
@@ -84,28 +85,90 @@ class CIRLTable:
         return f"CIRLTable(size={self.size})"
 
 
-def validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
-    """Check every CIRL law, naming the first failure with a witness."""
-    n = lattice.size
-    one = lattice.one
-    leq = lattice.leq
+def check_monoid(up, mul, one: int) -> None:
+    """Unit, commutativity, associativity and monotonicity of ``mul`` on
+    the order whose rows are ``up``, naming the first failure with a
+    witness."""
+    n = len(up)
     for x in range(n):
         if mul[x][one] != x or mul[one][x] != x:
             raise AxiomError(f"unit law fails at x={x}")
     for x in range(n):
+        mx = mul[x]
         for y in range(n):
-            if mul[x][y] != mul[y][x]:
+            if mx[y] != mul[y][x]:
                 raise AxiomError(f"commutativity fails at ({x},{y})")
     for x in range(n):
+        mx = mul[x]
         for y in range(n):
+            mxy, my, up_y, up_mxy = mul[mx[y]], mul[y], up[y], up[mx[y]]
             for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                if mxy[z] != mx[my[z]]:
                     raise AxiomError(f"associativity fails at ({x},{y},{z})")
-                if leq(y, z) and not leq(mul[x][y], mul[x][z]):
+                if up_y >> z & 1 and not up_mxy >> mx[z] & 1:
                     raise AxiomError(f"monotonicity fails at ({x},{y},{z})")
-                if leq(mul[x][z], y) != leq(z, arrow[x][y]):
-                    raise AxiomError(f"residuation fails at ({x},{y},{z})")
+
+
+def check_residual(up, mul, arrow, law: str) -> None:
+    """mul[x][z] <= y iff z <= arrow[x][y] on the order whose rows are
+    ``up``; the first failing (x, y, z) is named under ``law``."""
+    n = len(up)
+    for x in range(n):
+        ax = arrow[x]
+        up_mxz = [up[v] for v in mul[x]]
+        for y in range(n):
+            axy = ax[y]
+            for z in range(n):
+                if (up_mxz[z] >> y & 1) != (up[z] >> axy & 1):
+                    raise AxiomError(f"{law} fails at ({x},{y},{z})")
+
+
+def validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
+    """Check every CIRL law, naming the first failure with a witness."""
+    up = lattice.poset.up
+    check_monoid(up, mul, lattice.one)
+    check_residual(up, mul, arrow, "residuation")
     return CIRLTable(lattice, mul, arrow)
+
+
+def validate_order_algebra(kind: str, lattice: FinLattice, tables: dict,
+                           consts: dict) -> TableAlgebra:
+    """Check the laws of a Heyting-type or double p-algebra's tables on
+    their lattice, naming the first failure with a witness."""
+    n, zero, one = lattice.size, lattice.zero, lattice.one
+    up, meet, join = lattice.poset.up, lattice.meet, lattice.join
+    if consts["zero"] != zero or consts["one"] != one:
+        raise AxiomError("constants are not the lattice bounds")
+    if kind in ("heyting", "hplus", "dheyting"):
+        check_residual(up, meet, tables["arrow"], "arrow residuation")
+    if kind == "dheyting":
+        coarrow = tables["coarrow"]
+        for x in range(n):
+            for y in range(n):
+                cxy = coarrow[x][y]
+                for z in range(n):
+                    if (up[x] >> join[z][y] & 1) != (up[cxy] >> z & 1):
+                        raise AxiomError(f"coarrow residuation fails at "
+                                         f"({x},{y},{z})")
+    if kind in ("hplus", "dp"):
+        dpc = tables["dpc"]
+        for x in range(n):
+            for y in range(n):
+                if (join[x][y] == one) != (up[dpc[x]] >> y & 1):
+                    raise AxiomError(f"dual pseudocomplement law fails at "
+                                     f"({x},{y})")
+    if kind == "dp":
+        # Varlet's conditions and the dual hold for distributive lattices
+        bad = lattice.distributive_failure()
+        if bad is not None:
+            raise AxiomError("distributive law fails at ({},{},{})".format(*bad))
+        neg = tables["neg"]
+        for x in range(n):
+            for y in range(n):
+                if (meet[x][y] == zero) != (up[y] >> neg[x] & 1):
+                    raise AxiomError(f"pseudocomplement law fails at "
+                                     f"({x},{y})")
+    return TableAlgebra(kind, lattice, tables, consts)
 
 
 def derive_arrow(lattice: FinLattice, mul):
@@ -283,15 +346,6 @@ def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
     return Quotient(validate_cirl(lat, mul, arrow), proj)
 
 
-def find_embedding(a: CIRLTable, b: CIRLTable):
-    """Injective operation-preserving map a -> b, or None.
-
-    Backtracks over elements in lattice-rank order so that every op
-    instance is checked as soon as its arguments are placed.
-    """
-    return search_embedding(a, b, CIRL)
-
-
 def is_isomorphic(a: CIRLTable, b: CIRLTable) -> bool:
     if a.size != b.size:
         return False
@@ -300,4 +354,4 @@ def is_isomorphic(a: CIRLTable, b: CIRLTable) -> bool:
         return False
     if len(a.idempotents()) != len(b.idempotents()):
         return False
-    return find_embedding(a, b) is not None
+    return search_embedding(a, b, CIRL) is not None

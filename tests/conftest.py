@@ -10,7 +10,7 @@ from splitbench.poset import (FinPoset, bits, build_poset, canonical_key,
                               enumerate_posets, is_connected, popcount)
 from splitbench.residuated import (CIRLTable, MonolithInfo, congruence_filters,
                                    derive_arrow, validate_cirl)
-from splitbench.errors import NotALattice, SplitbenchError
+from splitbench.errors import AxiomError, NotALattice, SplitbenchError
 
 
 # -- standard posets -------------------------------------------------------
@@ -347,6 +347,95 @@ def oracle_search_hom(a, b, sig, require_injective: bool,
         return None
 
     return rec(0, set())
+
+
+def oracle_validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
+    """Every CIRL law in one loop over the triples, through ``leq``:
+    residuation is checked at each triple beside the monoid laws."""
+    n = lattice.size
+    one = lattice.one
+    leq = lattice.leq
+    for x in range(n):
+        if mul[x][one] != x or mul[one][x] != x:
+            raise AxiomError(f"unit law fails at x={x}")
+    for x in range(n):
+        for y in range(n):
+            if mul[x][y] != mul[y][x]:
+                raise AxiomError(f"commutativity fails at ({x},{y})")
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    raise AxiomError(f"associativity fails at ({x},{y},{z})")
+                if leq(y, z) and not leq(mul[x][y], mul[x][z]):
+                    raise AxiomError(f"monotonicity fails at ({x},{y},{z})")
+                if leq(mul[x][z], y) != leq(z, arrow[x][y]):
+                    raise AxiomError(f"residuation fails at ({x},{y},{z})")
+    return CIRLTable(lattice, mul, arrow)
+
+
+def oracle_order_laws(alg) -> None:
+    """The laws of a heyting/hplus/dheyting/dp table algebra, one loop per
+    law, through the algebra's methods and ``leq``."""
+    lat, kind, n = alg.lattice, alg.kind, alg.size
+    if alg.zero != lat.zero or alg.one != lat.one:
+        raise AxiomError("constants are not the lattice bounds")
+    if kind in ("heyting", "hplus", "dheyting"):
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if lat.leq(lat.meet[z][x], y) != lat.leq(z, alg.arrow(x, y)):
+                        raise AxiomError(f"arrow residuation fails at "
+                                         f"({x},{y},{z})")
+    if kind == "dheyting":
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if lat.leq(x, lat.join[z][y]) != lat.leq(alg.coarrow(x, y), z):
+                        raise AxiomError(f"coarrow residuation fails at "
+                                         f"({x},{y},{z})")
+    if kind in ("hplus", "dp"):
+        for x in range(n):
+            for y in range(n):
+                if (lat.join[x][y] == lat.one) != lat.leq(alg.dpc(x), y):
+                    raise AxiomError(f"dual pseudocomplement law fails at "
+                                     f"({x},{y})")
+    if kind == "dp":
+        bad = lat.distributive_failure()
+        if bad is not None:
+            raise AxiomError("distributive law fails at ({},{},{})".format(*bad))
+        for x in range(n):
+            for y in range(n):
+                if (lat.meet[x][y] == lat.zero) != lat.leq(y, alg.neg(x)):
+                    raise AxiomError(f"pseudocomplement law fails at "
+                                     f"({x},{y})")
+
+
+def single_cell_mutations(obj: dict, keys):
+    """Copies of a JSON algebra with one cell of one table, or one
+    constant, named in ``keys`` changed to each other element index."""
+    n = obj["size"]
+    for key in keys:
+        value = obj[key]
+        if isinstance(value, int):
+            for v in range(n):
+                if v != value:
+                    yield {**obj, key: v}
+        elif isinstance(value[0], list):
+            for a in range(n):
+                for b in range(n):
+                    for v in range(n):
+                        if v != value[a][b]:
+                            t = [list(r) for r in value]
+                            t[a][b] = v
+                            yield {**obj, key: t}
+        else:
+            for a in range(n):
+                for v in range(n):
+                    if v != value[a]:
+                        t = list(value)
+                        t[a] = v
+                        yield {**obj, key: t}
 
 
 def lattices_isomorphic(a: FinLattice, b: FinLattice) -> bool:

@@ -3,8 +3,11 @@ import re
 
 import pytest
 
-from splitbench import cli
+from conftest import all_posets, oracle_order_laws, single_cell_mutations
+from splitbench import cli, residuated
+from splitbench.diagram import KINDS, TableAlgebra
 from splitbench.duality import up_set_algebra
+from splitbench.errors import AxiomError, SplitbenchError
 from splitbench.lattice import FinLattice
 from splitbench.poset import build_poset
 from splitbench.residuated import wajsberg_hoop
@@ -106,10 +109,11 @@ _ONE_BY_ONE = {"kind": "hplus", "size": True, "meet": [[0]], "join": [[0]],
     ({**_CHAIN2, "bot": 0, "top": 5}, ["validate"], "top = 5"),
     (_CHAIN2, ["filtrate", "--gens", "x"], "argument --gens"),
     (_CHAIN2, ["filtrate", "--gens", "99"], "--gens mask 99"),
+    ({**_CHAIN2, "kind": ["poset"]}, ["validate"], "unknown algebra kind"),
 ], ids=["array", "le-triple", "negative-dpc", "bool-constant",
         "meet-out-of-range", "bool-poset-size", "bool-algebra-size",
         "string-bot", "top-out-of-range", "gens-not-int",
-        "gens-outside-poset"])
+        "gens-outside-poset", "list-kind"])
 def test_malformed_input_exits_three(tmp_path, capsys, obj, command, message):
     path = write(tmp_path, "bad.json", obj)
     argv = [command[0], path, *command[1:]]
@@ -273,3 +277,47 @@ def test_dp_must_be_distributive(tmp_path, capsys):
         assert cli.run([command, n5]) == 1
         err = capsys.readouterr().err
         assert re.search(r"distributive law fails at \(\d+,\d+,\d+\)", err)
+
+
+def test_order_laws_match_oracle(monkeypatch):
+    # every single-cell mutation of meet, the constants and the tables
+    # beyond meet and join of Up(X), for the 23 labelled X of size <= 3:
+    # each table that reaches the laws fails with the same message, or
+    # passes, under the law checker and under the per-kind oracle loops
+    check = residuated.validate_order_algebra
+    verdicts = []
+
+    def message(law, *args):
+        try:
+            law(*args)
+        except AxiomError as exc:
+            return str(exc)
+        return None
+
+    def both(kind, lattice, tables, consts):
+        verdicts.append((
+            message(check, kind, lattice, tables, consts),
+            message(oracle_order_laws,
+                    TableAlgebra(kind, lattice, tables, consts))))
+
+    monkeypatch.setattr(residuated, "validate_order_algebra", both)
+    cases = 0
+    for p in all_posets(3):
+        alg = up_set_algebra(p)
+        for kind in ("heyting", "hplus", "dheyting", "dp"):
+            sig = KINDS[kind]
+            keys = [k for k, _ in sig.binary + sig.unary if k != "join"]
+            for obj in single_cell_mutations(cli.upalgebra_to_json(alg, kind),
+                                             keys + list(sig.consts)):
+                cases += 1
+                try:
+                    cli.algebra_from_json(obj)
+                except SplitbenchError:
+                    pass
+    assert (cases, len(verdicts)) == (11414, 6190)
+    for got, want in verdicts:
+        assert got == want
+    laws = {got.split(" fails")[0] for got, _ in verdicts if got}
+    assert laws == {"arrow residuation", "coarrow residuation",
+                    "dual pseudocomplement law", "pseudocomplement law",
+                    "constants are not the lattice bounds"}
