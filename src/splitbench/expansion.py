@@ -40,7 +40,7 @@ class ExpandedMonoid:
         self.bottom = next(i for i in range(self.size)
                            if self.order.up[i] == full)
         # integrality holds by construction: d_a <= a <= 1
-        check_monoid(self.order.up, self.mul, self.one)
+        check_monoid(self.order.up, self.order.covers(), self.mul, self.one)
 
     def _build_order(self):
         base, c, of = self.base, self.c, self.base_of

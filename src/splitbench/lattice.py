@@ -14,26 +14,29 @@ class FinLattice:
     __slots__ = ("poset", "meet", "join", "zero", "one", "_distributive")
 
     def __init__(self, poset: FinPoset):
-        n = poset.size
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                lower = poset.down[i] & poset.down[j]
-                m = _unique_extremum(poset, lower, want_max=True)
-                if m is None:
-                    raise NotALattice(f"no meet for ({i},{j})")
-                upper = poset.up[i] & poset.up[j]
-                v = _unique_extremum(poset, upper, want_max=False)
-                if v is None:
-                    raise NotALattice(f"no join for ({i},{j})")
-                meet[i][j] = meet[j][i] = m
-                join[i][j] = join[j][i] = v
+        # a mask has a maximum m iff it is down[m], and a minimum m iff it
+        # is up[m], so meets and joins are dict lookups of masks
+        down, up = poset.down, poset.up
+        max_of = {row: m for m, row in enumerate(down)}.get
+        min_of = {row: m for m, row in enumerate(up)}.get
+        meet, join = [], []
+        for i in range(poset.size):
+            di, ui = down[i], up[i]
+            mrow = [max_of(di & d) for d in down]
+            jrow = [min_of(ui & u) for u in up]
+            if None in mrow or None in jrow:
+                # each pair (i, j) with j < i passed as (j, i) in row j
+                j = next(j for j in range(i, poset.size)
+                         if mrow[j] is None or jrow[j] is None)
+                op = "meet" if mrow[j] is None else "join"
+                raise NotALattice(f"no {op} for ({i},{j})")
+            meet.append(mrow)
+            join.append(jrow)
         self.poset = poset
         self.meet = meet
         self.join = join
-        self.zero = _unique_extremum(poset, poset.all_mask, want_max=False)
-        self.one = _unique_extremum(poset, poset.all_mask, want_max=True)
+        self.zero = min_of(poset.all_mask)
+        self.one = max_of(poset.all_mask)
         self._distributive = ...    # not yet checked
 
     @property

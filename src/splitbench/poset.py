@@ -1,9 +1,11 @@
 """Finite ordered sets.
 
 Elements are the indices 0..n-1 and subsets are Python ints used as
-bitmasks, so all order computations are mask arithmetic.  Sizes in this
-package stay small (<= ~24 elements), which keeps the dense
-representation free and the Warshall-style closure instant.
+bitmasks, so all order computations are mask arithmetic.  Input posets
+are capped at MAX_POSET_SIZE elements, which keeps the Warshall-style
+closure instant.  Orders built inside the package can be larger: the
+CIRL lattices of the witness suite reach 89 elements, and up-set
+lattices are capped only by their up-set count.
 """
 
 from dataclasses import dataclass, field

@@ -85,23 +85,42 @@ class CIRLTable:
         return f"CIRLTable(size={self.size})"
 
 
-def check_monoid(up, mul, one: int) -> None:
+def order_covers(poset: FinPoset) -> list[tuple[int, int]]:
+    """The cover pairs (a, b), a covered by b, ordered by the size of
+    ``down[b]``: every pair below an element comes before the pairs above
+    it."""
+    down = poset.down
+    return sorted(poset.covers(), key=lambda ab: popcount(down[ab[1]]))
+
+
+def check_monoid(up, covers, mul, one: int) -> None:
     """Unit, commutativity, associativity and monotonicity of ``mul`` on
-    the order whose rows are ``up``, naming the first failure with a
-    witness."""
+    the order whose rows are ``up`` and whose cover pairs are ``covers``,
+    naming the first failure with a witness.
+
+    Associativity compares whole rows, and monotonicity reads only the
+    cover pairs, since the order is transitive.  At the first x where
+    either law fails, the (y, z) scan names the first failing triple.
+    """
     n = len(up)
     for x in range(n):
         if mul[x][one] != x or mul[one][x] != x:
             raise AxiomError(f"unit law fails at x={x}")
+    for x, col in enumerate(zip(*mul)):
+        mx = mul[x]
+        if list(col) != mx:
+            for y in range(n):
+                if mx[y] != mul[y][x]:
+                    raise AxiomError(f"commutativity fails at ({x},{y})")
     for x in range(n):
         mx = mul[x]
+        up_mx = [up[v] for v in mx]
+        if all(mul[v] == list(map(mx.__getitem__, my))
+               for v, my in zip(mx, mul)) and \
+                all(up_mx[y] >> mx[z] & 1 for y, z in covers):
+            continue
         for y in range(n):
-            if mx[y] != mul[y][x]:
-                raise AxiomError(f"commutativity fails at ({x},{y})")
-    for x in range(n):
-        mx = mul[x]
-        for y in range(n):
-            mxy, my, up_y, up_mxy = mul[mx[y]], mul[y], up[y], up[mx[y]]
+            mxy, my, up_y, up_mxy = mul[mx[y]], mul[y], up[y], up_mx[y]
             for z in range(n):
                 if mxy[z] != mx[my[z]]:
                     raise AxiomError(f"associativity fails at ({x},{y},{z})")
@@ -109,25 +128,37 @@ def check_monoid(up, mul, one: int) -> None:
                     raise AxiomError(f"monotonicity fails at ({x},{y},{z})")
 
 
-def check_residual(up, mul, arrow, law: str) -> None:
+def check_residual(down, covers, mul, arrow, law: str) -> None:
     """mul[x][z] <= y iff z <= arrow[x][y] on the order whose rows are
-    ``up``; the first failing (x, y, z) is named under ``law``."""
-    n = len(up)
+    ``down`` and whose cover pairs, bottom up, are ``covers``; the first
+    failing (x, y, z) is named under ``law``.
+
+    For each x, the set {z : mul[x][z] <= y} is the preimage of y under
+    mul[x] joined with these sets for the lower covers of y.  Residuation
+    says it is the principal down-set of arrow[x][y] (Blyth & Janowitz,
+    Residuation Theory, 1972).
+    """
+    n = len(down)
     for x in range(n):
-        ax = arrow[x]
-        up_mxz = [up[v] for v in mul[x]]
-        for y in range(n):
-            axy = ax[y]
-            for z in range(n):
-                if (up_mxz[z] >> y & 1) != (up[z] >> axy & 1):
-                    raise AxiomError(f"{law} fails at ({x},{y},{z})")
+        below = [0] * n
+        for z, v in enumerate(mul[x]):
+            below[v] |= 1 << z
+        for a, b in covers:
+            below[b] |= below[a]
+        want = [down[v] for v in arrow[x]]
+        if below != want:
+            y = next(y for y in range(n) if below[y] != want[y])
+            diff = below[y] ^ want[y]
+            z = (diff & -diff).bit_length() - 1
+            raise AxiomError(f"{law} fails at ({x},{y},{z})")
 
 
 def validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
     """Check every CIRL law, naming the first failure with a witness."""
-    up = lattice.poset.up
-    check_monoid(up, mul, lattice.one)
-    check_residual(up, mul, arrow, "residuation")
+    poset = lattice.poset
+    covers = order_covers(poset)
+    check_monoid(poset.up, covers, mul, lattice.one)
+    check_residual(poset.down, covers, mul, arrow, "residuation")
     return CIRLTable(lattice, mul, arrow)
 
 
@@ -140,7 +171,8 @@ def validate_order_algebra(kind: str, lattice: FinLattice, tables: dict,
     if consts["zero"] != zero or consts["one"] != one:
         raise AxiomError("constants are not the lattice bounds")
     if kind in ("heyting", "hplus", "dheyting"):
-        check_residual(up, meet, tables["arrow"], "arrow residuation")
+        check_residual(lattice.poset.down, order_covers(lattice.poset), meet,
+                       tables["arrow"], "arrow residuation")
     if kind == "dheyting":
         coarrow = tables["coarrow"]
         for x in range(n):
@@ -211,12 +243,13 @@ def congruence_filters(alg: CIRLTable) -> list[int]:
     Finite lattice filters are principal, so these are the up-sets of
     the square-idempotent elements; they biject with the congruences.
     """
-    out = []
-    for g in range(alg.size):
-        f = alg.lattice.poset.up[g]
-        if all(alg.leq(g, alg.mul[x][x]) for x in bits(f)):
-            out.append(f)
-    return sorted(out, key=popcount)
+    up = alg.lattice.poset.up
+    return sorted((f for f in up if _square_closed(alg, f)), key=popcount)
+
+
+def _square_closed(alg: CIRLTable, f: int) -> bool:
+    """The lattice filter f holds x * x for every x in it."""
+    return all(f >> alg.mul[x][x] & 1 for x in bits(f))
 
 
 @dataclass(frozen=True)
@@ -272,43 +305,45 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
         q = info.coatom
     if c == a.one or q == b.one:
         raise BadParameter("c and q must be strictly negative")
-    cone_a = list(bits(a.lattice.poset.down[c]))
-    cone_b = list(bits(b.lattice.poset.down[q]))
-    elems = [(x, y) for x in cone_a for y in cone_b]
-    elems.append((a.one, b.one))
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
 
-    def pair_leq(i, j):
-        (x, u), (y, v) = elems[i], elems[j]
-        return a.leq(x, y) and b.leq(u, v)
+    def side(alg, g, scale):
+        # the cone below g: its up rows, and mul and arrow on it as cone
+        # indices times scale; the meet with g leaves products unchanged
+        # and takes x -> y to g when x <= y
+        cone = list(bits(alg.lattice.poset.down[g]))
+        pos = {x: k for k, x in enumerate(cone)}
+        meet_g = alg.lattice.meet[g]
 
-    lat = FinLattice(FinPoset(relation_rows(n, pair_leq)))
+        def local(table):
+            return [[pos[meet_g[table[x][y]]] * scale for y in cone]
+                    for x in cone]
 
-    def clip(e):
-        # products of cone elements stay in the cone, but guard anyway
-        x, y = e
-        return (a.meet(x, c), b.meet(y, q)) if e != (a.one, b.one) else e
+        up = [sum(1 << pos[y] for y in cone if alg.leq(x, y)) for x in cone]
+        return up, local(alg.mul), local(alg.arrow)
 
-    mul = [[0] * n for _ in range(n)]
-    arrow = [[0] * n for _ in range(n)]
-    for i, (x, u) in enumerate(elems):
-        for j, (y, v) in enumerate(elems):
-            prod = (a.mul[x][y], b.mul[u][v])
-            if prod != (a.one, b.one):
-                prod = clip(prod)
-            mul[i][j] = index[prod]
-            xley = a.leq(x, y)
-            ulev = b.leq(u, v)
-            if not xley and ulev:
-                res = (a.meet(a.res(x, y), c), q)
-            elif xley and not ulev:
-                res = (c, b.meet(b.res(u, v), q))
-            elif not xley and not ulev:
-                res = (a.meet(a.res(x, y), c), b.meet(b.res(u, v), q))
-            else:
-                res = (a.one, b.one)
-            arrow[i][j] = index[res]
+    # the pair (x, y) of cone elements is element (index of x) * nb +
+    # (index of y), and the shared top is the last element
+    nb = popcount(b.lattice.poset.down[q])
+    up_a, mul_a, arrow_a = side(a, c, nb)
+    up_b, mul_b, arrow_b = side(b, q, 1)
+    top = len(up_a) * nb
+    n = top + 1
+    # the up row of (x, y) repeats y's row in the block of each element
+    # above x, and the top is above every element
+    blocks = [sum(1 << (k * nb) for k in bits(row)) for row in up_a]
+    rows = [block * row | 1 << top for block in blocks for row in up_b]
+    rows.append(1 << top)
+    lat = FinLattice(FinPoset(rows))
+    mul, arrow = [], []
+    for i in range(top):
+        ka, kb = divmod(i, nb)
+        mul.append([s + t for s in mul_a[ka] for t in mul_b[kb]] + [i])
+        res = [s + t for s in arrow_a[ka] for t in arrow_b[kb]] + [top]
+        for j in bits(rows[i]):
+            res[j] = top    # the residual of comparable pairs is the top
+        arrow.append(res)
+    mul.append(list(range(n)))
+    arrow.append(list(range(n)))
     return validate_cirl(lat, mul, arrow)
 
 
@@ -319,31 +354,35 @@ class Quotient:
 
 
 def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
-    """Quotient by the congruence of a filter, with the projection map."""
-    if filter_mask not in congruence_filters(alg):
+    """Quotient by the congruence of a filter, with the projection map.
+
+    x and y are identified iff x -> y and y -> x lie in the filter, and
+    the class of x is below the class of y iff x -> y does: (x | y) -> y
+    is x -> y, and y -> (x | y) is 1.
+    """
+    lat = alg.lattice
+    # a congruence filter is up[g] for its meet g, and holds x * x with x
+    if not 0 < filter_mask <= lat.poset.all_mask or \
+            lat.poset.up[lat.meet_all(filter_mask)] != filter_mask or \
+            not _square_closed(alg, filter_mask):
         raise NotACongruenceFilter(f"mask {filter_mask:b}")
-
-    def equiv(x, y):
-        return bool(filter_mask & (1 << alg.iff(x, y)))
-
+    res = alg.arrow
     reps = []
     proj = [None] * alg.size
     for x in range(alg.size):
         for k, r in enumerate(reps):
-            if equiv(x, r):
+            if filter_mask >> res[x][r] & 1 and filter_mask >> res[r][x] & 1:
                 proj[x] = k
                 break
         else:
             proj[x] = len(reps)
             reps.append(x)
-    n = len(reps)
-    lat = FinLattice(FinPoset(relation_rows(
-        n, lambda i, k: equiv(alg.join(reps[i], reps[k]), reps[k]))))
-    mul = [[proj[alg.mul[reps[i]][reps[j]]] for j in range(n)]
-           for i in range(n)]
-    arrow = [[proj[alg.res(reps[i], reps[j])] for j in range(n)]
-             for i in range(n)]
-    return Quotient(validate_cirl(lat, mul, arrow), proj)
+    rows = [sum(1 << k for k, r in enumerate(reps)
+                if filter_mask >> res[x][r] & 1) for x in reps]
+    mul = [[proj[alg.mul[x][y]] for y in reps] for x in reps]
+    arrow = [[proj[res[x][y]] for y in reps] for x in reps]
+    return Quotient(validate_cirl(FinLattice(FinPoset(rows)), mul, arrow),
+                    proj)
 
 
 def is_isomorphic(a: CIRLTable, b: CIRLTable) -> bool:

@@ -7,10 +7,13 @@ import pytest
 from splitbench.diagram import _rank_order, get_signature
 from splitbench.lattice import FinLattice
 from splitbench.poset import (FinPoset, bits, build_poset, canonical_key,
-                              enumerate_posets, is_connected, popcount)
-from splitbench.residuated import (CIRLTable, MonolithInfo, congruence_filters,
-                                   derive_arrow, validate_cirl)
-from splitbench.errors import AxiomError, NotALattice, SplitbenchError
+                              enumerate_posets, is_connected, popcount,
+                              relation_rows)
+from splitbench.residuated import (CIRLTable, MonolithInfo, Quotient,
+                                   congruence_filters, derive_arrow,
+                                   monolith_info, validate_cirl)
+from splitbench.errors import (AxiomError, BadParameter, NotACongruenceFilter,
+                               NotALattice, SplitbenchError)
 
 
 # -- standard posets -------------------------------------------------------
@@ -372,6 +375,122 @@ def oracle_validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
                 if leq(mul[x][z], y) != leq(z, arrow[x][y]):
                     raise AxiomError(f"residuation fails at ({x},{y},{z})")
     return CIRLTable(lattice, mul, arrow)
+
+
+def oracle_lattice_tables(poset: FinPoset):
+    """(meet, join, zero, one) of a lattice order by scanning each pair's
+    common lower and upper bounds for a maximum and a minimum; raises
+    NotALattice at the first pair (i, j), j >= i, that has none."""
+
+    def extremum(mask, want_max):
+        rows = poset.down if want_max else poset.up
+        for i in bits(mask):
+            if not (mask & ~rows[i]):
+                return i
+        return None
+
+    n = poset.size
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m = extremum(poset.down[i] & poset.down[j], want_max=True)
+            if m is None:
+                raise NotALattice(f"no meet for ({i},{j})")
+            v = extremum(poset.up[i] & poset.up[j], want_max=False)
+            if v is None:
+                raise NotALattice(f"no join for ({i},{j})")
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = v
+    return (meet, join, extremum(poset.all_mask, want_max=False),
+            extremum(poset.all_mask, want_max=True))
+
+
+def oracle_truncated_product(a: CIRLTable, b: CIRLTable,
+                             c: int | None = None,
+                             q: int | None = None) -> CIRLTable:
+    """The truncated product built pair by pair through the algebras'
+    methods: the order from ``leq`` on pairs, each product clipped to the
+    cones, and each residual by the four cases of comparability."""
+    if c is None:
+        info = monolith_info(a)
+        if not info.is_si:
+            raise BadParameter("left factor is not SI; pass c explicitly")
+        c = info.coatom
+    if q is None:
+        info = monolith_info(b)
+        if not info.is_si:
+            raise BadParameter("right factor is not SI; pass q explicitly")
+        q = info.coatom
+    if c == a.one or q == b.one:
+        raise BadParameter("c and q must be strictly negative")
+    cone_a = list(bits(a.lattice.poset.down[c]))
+    cone_b = list(bits(b.lattice.poset.down[q]))
+    elems = [(x, y) for x in cone_a for y in cone_b]
+    elems.append((a.one, b.one))
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+
+    def pair_leq(i, j):
+        (x, u), (y, v) = elems[i], elems[j]
+        return a.leq(x, y) and b.leq(u, v)
+
+    lat = FinLattice(FinPoset(relation_rows(n, pair_leq)))
+
+    def clip(e):
+        x, y = e
+        return (a.meet(x, c), b.meet(y, q)) if e != (a.one, b.one) else e
+
+    mul = [[0] * n for _ in range(n)]
+    arrow = [[0] * n for _ in range(n)]
+    for i, (x, u) in enumerate(elems):
+        for j, (y, v) in enumerate(elems):
+            prod = (a.mul[x][y], b.mul[u][v])
+            if prod != (a.one, b.one):
+                prod = clip(prod)
+            mul[i][j] = index[prod]
+            xley = a.leq(x, y)
+            ulev = b.leq(u, v)
+            if not xley and ulev:
+                res = (a.meet(a.res(x, y), c), q)
+            elif xley and not ulev:
+                res = (c, b.meet(b.res(u, v), q))
+            elif not xley and not ulev:
+                res = (a.meet(a.res(x, y), c), b.meet(b.res(u, v), q))
+            else:
+                res = (a.one, b.one)
+            arrow[i][j] = index[res]
+    return validate_cirl(lat, mul, arrow)
+
+
+def oracle_quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
+    """The quotient by a congruence filter through ``iff``: x ~ y iff
+    iff(x, y) is in the filter, and the class of x is below that of y iff
+    x | y ~ y."""
+    if filter_mask not in congruence_filters(alg):
+        raise NotACongruenceFilter(f"mask {filter_mask:b}")
+
+    def equiv(x, y):
+        return bool(filter_mask & (1 << alg.iff(x, y)))
+
+    reps = []
+    proj = [None] * alg.size
+    for x in range(alg.size):
+        for k, r in enumerate(reps):
+            if equiv(x, r):
+                proj[x] = k
+                break
+        else:
+            proj[x] = len(reps)
+            reps.append(x)
+    n = len(reps)
+    lat = FinLattice(FinPoset(relation_rows(
+        n, lambda i, k: equiv(alg.join(reps[i], reps[k]), reps[k]))))
+    mul = [[proj[alg.mul[reps[i]][reps[j]]] for j in range(n)]
+           for i in range(n)]
+    arrow = [[proj[alg.res(reps[i], reps[j])] for j in range(n)]
+             for i in range(n)]
+    return Quotient(validate_cirl(lat, mul, arrow), proj)
 
 
 def oracle_order_laws(alg) -> None:

@@ -321,3 +321,34 @@ def test_order_laws_match_oracle(monkeypatch):
     assert laws == {"arrow residuation", "coarrow residuation",
                     "dual pseudocomplement law", "pseudocomplement law",
                     "constants are not the lattice bounds"}
+
+
+def test_heyting_laws_match_oracle_on_up_of_four_points(monkeypatch):
+    # the cover-wise residuation scan on a 10-element non-chain lattice:
+    # Up of a vee beside a point, loaded as heyting and hplus
+    check = residuated.validate_order_algebra
+    verdicts = []
+
+    def message(law, *args):
+        try:
+            law(*args)
+        except AxiomError as exc:
+            return str(exc)
+        return None
+
+    def both(kind, lattice, tables, consts):
+        verdicts.append((
+            message(check, kind, lattice, tables, consts),
+            message(oracle_order_laws,
+                    TableAlgebra(kind, lattice, tables, consts))))
+
+    monkeypatch.setattr(residuated, "validate_order_algebra", both)
+    alg = up_set_algebra(build_poset(4, [(0, 1), (2, 1)]))
+    assert alg.size == 10
+    for kind, keys in (("heyting", ["arrow"]), ("hplus", ["arrow", "dpc"])):
+        obj = cli.upalgebra_to_json(alg, kind)
+        for mutated in single_cell_mutations(obj, keys):
+            cli.algebra_from_json(mutated)
+    assert len(verdicts) == 2 * 10 * 10 * 9 + 10 * 9
+    for got, want in verdicts:
+        assert got == want and got is not None

@@ -1,6 +1,10 @@
+import itertools
+import re
+
 import pytest
 
-from conftest import all_posets, boolean_lattice, chain, diamond, m3, n5
+from conftest import (all_posets, boolean_lattice, chain, diamond, m3, n5,
+                      oracle_lattice_tables)
 from splitbench.errors import MissingResidual, NotACover, NotALattice
 from splitbench.lattice import (FinLattice, all_splitting_pairs,
                                 dual_rel_pseudocomplement, is_splitting_pair,
@@ -150,3 +154,23 @@ def test_intervals():
                     c1, d1 = splitting_from_cover(big, back[a], back[b])
                     assert back[c2] == big.join[c1][u]
                     assert back[d2] == big.meet[d1][v]
+
+
+def test_lattice_tables_match_oracle():
+    # meet, join, zero and one, or the NotALattice message, for every
+    # labelled poset of size <= 5
+    labelled = {p.relabel(perm) for p in all_posets(5, dedupe=True)
+                for perm in itertools.permutations(range(p.size))}
+    assert len(labelled) == 1 + 3 + 19 + 219 + 4231
+    refused = 0
+    for p in labelled:
+        try:
+            want = oracle_lattice_tables(p)
+        except NotALattice as exc:
+            with pytest.raises(NotALattice, match=rf"^{re.escape(str(exc))}$"):
+                FinLattice(p)
+            refused += 1
+            continue
+        lat = FinLattice(p)
+        assert (lat.meet, lat.join, lat.zero, lat.one) == want
+    assert 0 < refused < len(labelled)

@@ -1,15 +1,17 @@
 import pytest
 
 import re
+from functools import cache
 
 from conftest import (all_lattices, chain, enumerate_cirls,
-                      oracle_monolith_info, oracle_validate_cirl,
+                      oracle_monolith_info, oracle_quotient,
+                      oracle_truncated_product, oracle_validate_cirl,
                       single_cell_mutations)
 from splitbench.cli import algebra_to_json
 from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter)
 from splitbench.lattice import FinLattice
-from splitbench.poset import bits, popcount
+from splitbench.poset import bits, build_poset, popcount
 from splitbench.diagram import CIRL, search_embedding
 from splitbench.residuated import (congruence_filters, derive_arrow,
                                    is_isomorphic,
@@ -83,6 +85,82 @@ def test_cirl_laws_match_oracle():
     # here no single changed cell leaves a CIRL, so both reject every case
     assert (len(algebras), cases, failing) == (42, 6852, 6852)
     assert 0 < reordered < cases
+
+
+def test_cirl_laws_match_oracle_past_size_six():
+    # the row and mask scans where covers are not trivial: every
+    # single-cell mutation of mul and arrow on a 9-element chain product
+    # and a 13-element non-chain product, under the rule above
+    shape = FinLattice(build_poset(5, [(0, 1), (0, 2), (1, 3), (2, 3),
+                                       (3, 4)]))
+    nonchain = next(c for c in enumerate_cirls(shape)
+                    if monolith_info(c).is_si)
+    algebras = [truncated_product(wajsberg_hoop(3), wajsberg_hoop(5)),
+                truncated_product(nonchain, wajsberg_hoop(4))]
+    assert [a.size for a in algebras] == [9, 13]
+    laws = set()
+    for a in algebras:
+        for obj in single_cell_mutations(algebra_to_json(a, "cirl"),
+                                         ("mul", "arrow")):
+            lat, mul, arrow = a.lattice, obj["mul"], obj["arrow"]
+            outcomes = []
+            for check in (validate_cirl, oracle_validate_cirl):
+                with pytest.raises(AxiomError) as exc:
+                    check(lat, mul, arrow)
+                outcomes.append(str(exc.value))
+            got, want = outcomes
+            laws.add(got.split(" fails")[0])
+            if got != want:
+                assert want.startswith("residuation"), (got, want)
+                assert not got.startswith("residuation"), (got, want)
+                assert _cirl_law_fails(got, lat, mul, arrow), got
+    assert laws == {"unit law", "commutativity", "associativity",
+                    "monotonicity", "residuation"}
+
+
+@cache
+def _si_family():
+    algebras = [c for lat in all_lattices(5) if lat.size > 1
+                for c in enumerate_cirls(lat) if monolith_info(c).is_si]
+    return algebras + [wajsberg_hoop(n) for n in range(2, 7)]
+
+
+@cache
+def _products():
+    # every ordered pair's truncated product, built and by the oracle
+    return [(truncated_product(a, b), oracle_truncated_product(a, b))
+            for a in _si_family() for b in _si_family()]
+
+
+def test_truncated_product_matches_oracle():
+    assert len(_si_family()) == 40
+    for got, want in _products():
+        assert got.lattice.poset.up == want.lattice.poset.up
+        assert (got.mul, got.arrow) == (want.mul, want.arrow)
+
+
+def test_quotient_matches_oracle():
+    # proj and tables for every congruence filter, and the same refusal
+    # for every other mask of the small algebras
+    cases = 0
+    for alg in _si_family() + [got for got, _ in _products()]:
+        for f in congruence_filters(alg):
+            got, want = quotient(alg, f), oracle_quotient(alg, f)
+            assert got.projection == want.projection
+            g, w = got.algebra, want.algebra
+            assert g.lattice.poset.up == w.lattice.poset.up
+            assert (g.mul, g.arrow) == (w.mul, w.arrow)
+            cases += 1
+    assert cases == 7340
+    for alg in _si_family():
+        filters = congruence_filters(alg)
+        for mask in range(-1, 1 << (alg.size + 1)):
+            if mask in filters:
+                continue
+            for build in (quotient, oracle_quotient):
+                with pytest.raises(NotACongruenceFilter,
+                                   match=f"^mask {mask:b}$"):
+                    build(alg, mask)
 
 
 def test_meet_multiplication_is_always_valid():
