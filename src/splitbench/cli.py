@@ -272,6 +272,9 @@ def _cmd_truncprod(args):
     b = algebra_from_json(_read_json(args.b))
     if a.kind != "cirl" or b.kind != "cirl":
         raise FormatError("truncprod needs two cirl algebras")
+    for flag, value, factor in (("--c", args.c, a), ("--q", args.q, b)):
+        if value is not None:
+            _check_elements([value], factor.size, flag)
     alg = residuated.truncated_product(a, b, args.c, args.q)
     _emit(algebra_to_json(alg, "cirl"))
     return 0

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from .errors import AxiomError, BadParameter, NotSI
 from .lattice import FinLattice
 from .poset import FinPoset, bits, relation_rows
-from .residuated import (CIRLTable, MonolithInfo, check_monoid, monolith_info,
+from .residuated import (CIRLTable, MonolithInfo, check_monoid, derive_arrow,
+                         monolith_info, order_covers, preimage_masks,
                          validate_cirl)
 
 
@@ -87,25 +88,19 @@ class ExpandedMonoid:
 class NuclearFrame:
     """The pair set W = P x A with x N (u,s) iff u*x <= s.
 
-    Basic closed sets are materialised once; the Galois closure of any
-    subset is then the meet of the basic sets containing it.
+    Basic closed sets are materialised once, as the masks {x : u*x <= s}
+    of ``preimage_masks`` on row u cut to the base elements s; the Galois
+    closure of any subset is then the meet of the basic sets containing it.
     """
 
-    __slots__ = ("monoid", "pairs", "basic")
+    __slots__ = ("monoid", "basic")
 
     def __init__(self, monoid: ExpandedMonoid):
         self.monoid = monoid
+        covers = order_covers(monoid.order)
         base_n = monoid.base.size
-        pairs = [(u, s) for u in range(monoid.size) for s in range(base_n)]
-        basic = []
-        for u, s in pairs:
-            m = 0
-            for x in range(monoid.size):
-                if monoid.leq(monoid.mul[u][x], s):
-                    m |= 1 << x
-            basic.append(m)
-        self.pairs = pairs
-        self.basic = basic
+        self.basic = [m for row in monoid.mul
+                      for m in preimage_masks(covers, row)[:base_n]]
 
 
 def build_expansion_monoid(base: CIRLTable, c: int | None = None) -> ExpandedMonoid:
@@ -143,8 +138,9 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
 
     Candidates come from the canonical form (a down-set of a base
     element joined with a down-set of d times a base element) and are
-    verified closed; meet is intersection and the remaining operations
-    come from the closure.
+    verified closed; meet is intersection, the product is the closure
+    of the elementwise product, and the residual is derived from the
+    product, since a closed set's residual into a closed set is closed.
     """
     mon = frame.monoid
     base = mon.base
@@ -168,7 +164,6 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
                 raise AxiomError("meet of closed sets is not intersection")
 
     mul = [[0] * n for _ in range(n)]
-    arrow = [[0] * n for _ in range(n)]
     for i, mi in enumerate(closed):
         for j, mj in enumerate(closed):
             prod = 0
@@ -176,15 +171,7 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
                 for y in bits(mj):
                     prod |= 1 << mon.mul[x][y]
             mul[i][j] = index[gamma_closure(frame, prod)]
-            res = 0
-            for z in range(mon.size):
-                if all((mj >> mon.mul[z][x]) & 1 for x in bits(mi)):
-                    res |= 1 << z
-            k = index.get(res)
-            if k is None:
-                raise AxiomError("residual of closed sets is not closed")
-            arrow[i][j] = k
-    alg = validate_cirl(lat, mul, arrow)
+    alg = validate_cirl(lat, mul, derive_arrow(lat, mul))
     if closed[alg.one] != gamma_closure(frame, 1 << base.one):
         raise AxiomError("unit of the closure algebra is not gamma(1)")
 

@@ -128,24 +128,32 @@ def check_monoid(up, covers, mul, one: int) -> None:
                     raise AxiomError(f"monotonicity fails at ({x},{y},{z})")
 
 
+def preimage_masks(covers, row) -> list[int]:
+    """The masks {z : row[z] <= y} for each y, on the order whose cover
+    pairs, bottom up, are ``covers``: the preimage of y under ``row``
+    joined with the masks of the lower covers of y.  For a monotone row,
+    residuation says each is the principal down-set of the residual at y
+    (Blyth & Janowitz, Residuation Theory, 1972); every residual table
+    is checked or derived from these masks.
+    """
+    below = [0] * len(row)
+    for z, v in enumerate(row):
+        below[v] |= 1 << z
+    for a, b in covers:
+        below[b] |= below[a]
+    return below
+
+
 def check_residual(down, covers, mul, arrow, law: str) -> None:
     """mul[x][z] <= y iff z <= arrow[x][y] on the order whose rows are
     ``down`` and whose cover pairs, bottom up, are ``covers``; the first
-    failing (x, y, z) is named under ``law``.
-
-    For each x, the set {z : mul[x][z] <= y} is the preimage of y under
-    mul[x] joined with these sets for the lower covers of y.  Residuation
-    says it is the principal down-set of arrow[x][y] (Blyth & Janowitz,
-    Residuation Theory, 1972).
+    failing (x, y, z) is named under ``law``.  A None cell has no down-set,
+    so it fails at the least z with mul[x][z] <= y.
     """
     n = len(down)
     for x in range(n):
-        below = [0] * n
-        for z, v in enumerate(mul[x]):
-            below[v] |= 1 << z
-        for a, b in covers:
-            below[b] |= below[a]
-        want = [down[v] for v in arrow[x]]
+        below = preimage_masks(covers, mul[x])
+        want = [0 if v is None else down[v] for v in arrow[x]]
         if below != want:
             y = next(y for y in range(n) if below[y] != want[y])
             diff = below[y] ^ want[y]
@@ -204,22 +212,17 @@ def validate_order_algebra(kind: str, lattice: FinLattice, tables: dict,
 
 
 def derive_arrow(lattice: FinLattice, mul):
-    """Residual table from a multiplication, or None where no max exists."""
-    n = lattice.size
-    arrow = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            cands = 0
-            for z in range(n):
-                if lattice.leq(mul[x][z], y):
-                    cands |= 1 << z
-            best = None
-            for z in bits(cands):
-                if not (cands & ~lattice.poset.down[z]):
-                    best = z
-                    break
-            arrow[x][y] = best
-    return arrow
+    """Residual table from a multiplication, or None where no max exists.
+
+    ``mul`` must be monotone: then {z : x * z <= y} is a down-set, and it
+    has a maximum m iff it is down[m], as in ``FinLattice``.  On other
+    tables a maximum of a set that is not a down-set is missed;
+    ``validate_cirl`` checks monotonicity before residuation.
+    """
+    poset = lattice.poset
+    covers = order_covers(poset)
+    max_of = {row: m for m, row in enumerate(poset.down)}.get
+    return [list(map(max_of, preimage_masks(covers, row))) for row in mul]
 
 
 def wajsberg_hoop(n: int) -> CIRLTable:
@@ -307,44 +310,29 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
         raise BadParameter("c and q must be strictly negative")
 
     def side(alg, g, scale):
-        # the cone below g: its up rows, and mul and arrow on it as cone
-        # indices times scale; the meet with g leaves products unchanged
-        # and takes x -> y to g when x <= y
+        # the cone below g: its up rows, and mul on it as cone indices
+        # times scale; x * y <= x keeps products in the cone
         cone = list(bits(alg.lattice.poset.down[g]))
         pos = {x: k for k, x in enumerate(cone)}
-        meet_g = alg.lattice.meet[g]
-
-        def local(table):
-            return [[pos[meet_g[table[x][y]]] * scale for y in cone]
-                    for x in cone]
-
         up = [sum(1 << pos[y] for y in cone if alg.leq(x, y)) for x in cone]
-        return up, local(alg.mul), local(alg.arrow)
+        return up, [[pos[alg.mul[x][y]] * scale for y in cone] for x in cone]
 
     # the pair (x, y) of cone elements is element (index of x) * nb +
     # (index of y), and the shared top is the last element
     nb = popcount(b.lattice.poset.down[q])
-    up_a, mul_a, arrow_a = side(a, c, nb)
-    up_b, mul_b, arrow_b = side(b, q, 1)
+    up_a, mul_a = side(a, c, nb)
+    up_b, mul_b = side(b, q, 1)
     top = len(up_a) * nb
-    n = top + 1
     # the up row of (x, y) repeats y's row in the block of each element
     # above x, and the top is above every element
     blocks = [sum(1 << (k * nb) for k in bits(row)) for row in up_a]
     rows = [block * row | 1 << top for block in blocks for row in up_b]
     rows.append(1 << top)
     lat = FinLattice(FinPoset(rows))
-    mul, arrow = [], []
-    for i in range(top):
-        ka, kb = divmod(i, nb)
-        mul.append([s + t for s in mul_a[ka] for t in mul_b[kb]] + [i])
-        res = [s + t for s in arrow_a[ka] for t in arrow_b[kb]] + [top]
-        for j in bits(rows[i]):
-            res[j] = top    # the residual of comparable pairs is the top
-        arrow.append(res)
-    mul.append(list(range(n)))
-    arrow.append(list(range(n)))
-    return validate_cirl(lat, mul, arrow)
+    mul = [[s + t for s in mul_a[i // nb] for t in mul_b[i % nb]] + [i]
+           for i in range(top)]
+    mul.append(list(range(top + 1)))
+    return validate_cirl(lat, mul, derive_arrow(lat, mul))
 
 
 @dataclass

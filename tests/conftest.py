@@ -463,6 +463,61 @@ def oracle_truncated_product(a: CIRLTable, b: CIRLTable,
     return validate_cirl(lat, mul, arrow)
 
 
+def oracle_derive_arrow(lattice: FinLattice, mul):
+    """The residual table by scanning, for each (x, y), the z with
+    x * z <= y through ``leq`` for a maximum; None where there is none."""
+    n = lattice.size
+    arrow = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            cands = 0
+            for z in range(n):
+                if lattice.leq(mul[x][z], y):
+                    cands |= 1 << z
+            best = None
+            for z in bits(cands):
+                if not (cands & ~lattice.poset.down[z]):
+                    best = z
+                    break
+            arrow[x][y] = best
+    return arrow
+
+
+def oracle_frame_basic(monoid) -> list[int]:
+    """The nuclear frame's basic sets {x : u * x <= s}, for u over the
+    expanded monoid and s over the base elements, through its ``leq``."""
+    basic = []
+    for u in range(monoid.size):
+        for s in range(monoid.base.size):
+            m = 0
+            for x in range(monoid.size):
+                if monoid.leq(monoid.mul[u][x], s):
+                    m |= 1 << x
+            basic.append(m)
+    return basic
+
+
+def oracle_lp_arrow(frame, closed: list[int]):
+    """The residual of closed sets as a set residual: mi -> mj is the set
+    of monoid elements z with z * x in mj for every x in mi, which must be
+    closed."""
+    mon = frame.monoid
+    index = {m: i for i, m in enumerate(closed)}
+    arrow = []
+    for mi in closed:
+        row = []
+        for mj in closed:
+            res = 0
+            for z in range(mon.size):
+                if all((mj >> mon.mul[z][x]) & 1 for x in bits(mi)):
+                    res |= 1 << z
+            if res not in index:
+                raise AxiomError("residual of closed sets is not closed")
+            row.append(index[res])
+        arrow.append(row)
+    return arrow
+
+
 def oracle_quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
     """The quotient by a congruence filter through ``iff``: x ~ y iff
     iff(x, y) is in the filter, and the class of x is below that of y iff

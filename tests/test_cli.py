@@ -175,6 +175,22 @@ def test_truncprod(tmp_path, capsys):
     assert code == 0 and out["size"] == 2 * 3 + 1
 
 
+def test_truncprod_refuses_elements_outside_the_factors(tmp_path, capsys):
+    a = write(tmp_path, "a.json", cli.algebra_to_json(wajsberg_hoop(3), "cirl"))
+    b = write(tmp_path, "b.json", cli.algebra_to_json(wajsberg_hoop(4), "cirl"))
+    for flags, message in ((["--c", "99"], "--c = 99 is not an element "
+                                           "index below 3"),
+                           (["--c", "-1"], "--c = -1"),
+                           (["--q", "4"], "--q = 4 is not an element "
+                                          "index below 4"),
+                           (["--q", "-1"], "--q = -1")):
+        assert cli.run(["truncprod", a, b, *flags]) == 3, flags
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, flags
+    code, out = run_cli(capsys, "truncprod", a, b, "--c", "1", "--q", "3")
+    assert code == 0 and out["size"] == 2 * 1 + 1
+
+
 def test_splittings_exit_codes(tmp_path, capsys):
     m3 = write(tmp_path, "m3.json",
                {"kind": "poset", "size": 5,

@@ -1,6 +1,9 @@
+from functools import cache
+
 import pytest
 
-from conftest import chain
+from conftest import (all_lattices, enumerate_cirls, oracle_frame_basic,
+                      oracle_lp_arrow)
 from splitbench.errors import BadParameter
 from splitbench.expansion import (NuclearFrame, build_expansion_monoid,
                                   expand_once, expand_to_depth, gamma_closure,
@@ -191,3 +194,27 @@ def test_expand_to_depth():
 
     with pytest.raises(NotSI):
         expand_to_depth(prod, 2)
+
+
+@cache
+def _expansion_bases():
+    return [c for lat in all_lattices(5) if lat.size > 1
+            for c in enumerate_cirls(lat) if monolith_info(c).is_si] + \
+        [wajsberg_hoop(n) for n in range(2, 8)]
+
+
+def test_frame_and_closure_residual_match_oracle():
+    # the basic sets and the closure algebra's residual, for one and two
+    # rounds of expansion of every small SI CIRL and of C2-C7
+    rounds = 0
+    for base in _expansion_bases():
+        alg = base
+        for _ in range(2):
+            frame = NuclearFrame(build_expansion_monoid(alg))
+            assert frame.basic == oracle_frame_basic(frame.monoid)
+            step = lp_algebra(frame)
+            assert step.algebra.arrow == \
+                oracle_lp_arrow(frame, step.closed_sets)
+            alg = step.algebra
+            rounds += 1
+    assert rounds == 2 * 41

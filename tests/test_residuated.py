@@ -3,8 +3,9 @@ import pytest
 import re
 from functools import cache
 
-from conftest import (all_lattices, chain, enumerate_cirls,
-                      oracle_monolith_info, oracle_quotient,
+from conftest import (all_lattices, chain, enumerate_cirls, m3,
+                      oracle_derive_arrow, oracle_monolith_info,
+                      oracle_quotient,
                       oracle_truncated_product, oracle_validate_cirl,
                       single_cell_mutations)
 from splitbench.cli import algebra_to_json
@@ -170,6 +171,61 @@ def test_meet_multiplication_is_always_valid():
         arrow = derive_arrow(lat, mul)
         if any(v is None for row in arrow for v in row):
             continue
+        validate_cirl(lat, mul, arrow)
+
+
+def _monotone(lat, mul):
+    n = lat.size
+    return all(lat.leq(mul[x][y], mul[x][z]) for x in range(n)
+               for y in range(n) for z in range(n) if lat.leq(y, z))
+
+
+def test_derive_arrow_matches_oracle():
+    # the meet table of every small lattice (N5 and M3 have None cells),
+    # every CIRL multiplication on them, and every monotone commutative
+    # change of one cell of those multiplications
+    cirls = none_tables = mutants = 0
+    for lat in all_lattices(5):
+        n = lat.size
+        muls = [c.mul for c in enumerate_cirls(lat)]
+        cirls += len(muls)
+        tables = [lat.meet] + muls
+        for mul in muls:
+            for x in range(n):
+                for y in range(x, n):
+                    for v in range(n):
+                        if v != mul[x][y]:
+                            t = [list(r) for r in mul]
+                            t[x][y] = t[y][x] = v
+                            if _monotone(lat, t):
+                                tables.append(t)
+                                mutants += 1
+        for mul in tables:
+            got = derive_arrow(lat, mul)
+            assert got == oracle_derive_arrow(lat, mul)
+            none_tables += any(v is None for row in got for v in row)
+    assert (cirls, mutants, none_tables) == (38, 337, 63)
+
+
+def test_missing_residual_is_an_axiom_error():
+    lat = m3()
+    arrow = derive_arrow(lat, lat.meet)
+    assert arrow[1][0] is None
+    with pytest.raises(AxiomError, match=r"^residuation fails at \(1,0,0\)$"):
+        validate_cirl(lat, lat.meet, arrow)
+
+
+def test_derive_arrow_needs_a_monotone_multiplication():
+    # on the 3-chain, 0 * 0 = 1 above 0 * 1 = 0: {z : 0 * z <= 0} = {1, 2}
+    # has a maximum but is no down-set, so the lookup finds none; the
+    # table is refused for monotonicity before residuation is read
+    lat = FinLattice(chain(3))
+    mul = [[1, 0, 0], [0, 1, 1], [0, 1, 2]]
+    assert oracle_derive_arrow(lat, mul)[0][0] == 2
+    arrow = derive_arrow(lat, mul)
+    assert arrow[0][0] is None
+    with pytest.raises(AxiomError,
+                       match=r"^monotonicity fails at \(0,0,1\)$"):
         validate_cirl(lat, mul, arrow)
 
 
