@@ -63,7 +63,7 @@ def _check_size(obj, what: str) -> int:
 def poset_to_json(p: FinPoset, bot: int | None = None,
                   top: int | None = None) -> dict:
     out = {"schema": SCHEMA, "kind": "poset", "size": p.size,
-           "le": [[a, b] for a, b in p.covers()]}
+           "le": [[a, b] for a, b in sorted(p.covers())]}
     if bot is not None:
         out["bot"] = bot
     if top is not None:
@@ -310,7 +310,7 @@ def _cmd_powerchain(args):
 
 
 def _cmd_diagram(args):
-    alg = _algebra_for_sig(args.file, args.sig, args.max_upsets)
+    alg = _algebra_for_sig(args)
     sig = diagram_mod.get_signature(args.sig)
     d = diagram_mod.build_diagram(alg, sig)
     identity = diagram_mod.Assignment(alg, d.variables)
@@ -322,16 +322,16 @@ def _cmd_diagram(args):
     return 0
 
 
-def _algebra_for_sig(path: str, sig_tag: str, max_upsets: int):
-    obj = _read_json(path)
-    if obj.get("kind") == "poset" and sig_tag in ("hplus", "dheyting"):
-        p, _, _ = poset_from_json(obj, MAX_POSET_SIZE)
-        return duality.up_set_algebra(p, cap=max_upsets)
+def _algebra_for_sig(args):
+    obj = _read_json(args.file)
+    if obj.get("kind") == "poset" and args.sig in ("hplus", "dheyting"):
+        p, _, _ = poset_from_json(obj, args.max_poset)
+        return duality.up_set_algebra(p, cap=args.max_upsets)
     return algebra_from_json(obj)
 
 
 def _cmd_witness(args):
-    alg = _algebra_for_sig(args.file, args.sig, args.max_upsets)
+    alg = _algebra_for_sig(args)
     sig = diagram_mod.get_signature(args.sig)
     rep = diagram_mod.witness_suite(alg, args.imax, sig)
     out = {"schema": SCHEMA, "command": "witness", "sig": rep.tag,

@@ -14,6 +14,9 @@ from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
 from .poset import FinPoset, bits, popcount
 
 ASSIGNMENT_CAP = 2_000_000
+# building and checking a truncated product grows about cubically with
+# its size; past this size it is refused (2651 elements ran for minutes)
+PRODUCT_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -204,28 +207,19 @@ class TableAlgebra:
         self.kind = kind
         self.lattice = lattice
         self.size = lattice.size
-        self.tables = tables
-        self.consts = consts
+        # each table is an operation named by its key, binary for a table
+        # of rows; each constant is an attribute
+        for name, t in tables.items():
+            binary = t and isinstance(t[0], list)
+            setattr(self, name,
+                    (lambda a, b, t=t: t[a][b]) if binary else t.__getitem__)
+        for name, value in consts.items():
+            setattr(self, name, value)
+        self.bottom = consts.get("zero")
 
     @property
     def elements(self):
         return range(self.size)
-
-    def __getattr__(self, name):
-        tables = object.__getattribute__(self, "tables")
-        if name in tables:
-            t = tables[name]
-            if t and isinstance(t[0], list):
-                return lambda a, b: t[a][b]
-            return lambda a: t[a]
-        consts = object.__getattribute__(self, "consts")
-        if name in consts:
-            return consts[name]
-        raise AttributeError(name)
-
-    @property
-    def bottom(self):
-        return self.consts.get("zero")
 
     def leq(self, a, b):
         return self.lattice.leq(a, b)
@@ -543,6 +537,7 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
     from .hplus_witness import (build_witness_algebra, diagram_final_check,
                                 fence_for_target, never_maps_onto_check)
 
+    sig.require(a)
     a = _as_up_set_algebra(a)
     if a.size <= 3:
         return WitnessReport(sig.tag, a.size, exempt=True,

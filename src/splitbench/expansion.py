@@ -11,8 +11,7 @@ from .errors import AxiomError, BadParameter, NotSI
 from .lattice import FinLattice
 from .poset import FinPoset, bits, relation_rows
 from .residuated import (CIRLTable, MonolithInfo, check_monoid, derive_arrow,
-                         monolith_info, order_covers, preimage_masks,
-                         validate_cirl)
+                         monolith_info, preimage_masks, validate_cirl)
 
 
 class ExpandedMonoid:
@@ -97,7 +96,7 @@ class NuclearFrame:
 
     def __init__(self, monoid: ExpandedMonoid):
         self.monoid = monoid
-        covers = order_covers(monoid.order)
+        covers = monoid.order.covers()
         base_n = monoid.base.size
         self.basic = [m for row in monoid.mul
                       for m in preimage_masks(covers, row)[:base_n]]

@@ -102,14 +102,15 @@ class FinPoset:
                    if self.up[i] == 1 << i)
 
     def covers(self) -> list[tuple[int, int]]:
-        """All pairs (a, b) with a covered by b."""
+        """All pairs (a, b) with a covered by b, bottom up: sorted by the
+        size of ``down[b]``, so the pairs below an element come first."""
         out = []
         for a in range(self.size):
             for b in bits(self.up[a] & ~(1 << a)):
                 between = self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b)
                 if not between:
                     out.append((a, b))
-        return out
+        return sorted(out, key=lambda ab: popcount(self.down[ab[1]]))
 
     def height(self) -> int:
         """Length of a longest chain, counted in covers."""

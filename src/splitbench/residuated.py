@@ -3,8 +3,9 @@ and the table laws of every algebra kind."""
 
 from dataclasses import dataclass, field
 
-from .diagram import CIRL, TableAlgebra, search_embedding, si_structure
-from .errors import AxiomError, BadParameter, NotACongruenceFilter
+from .diagram import (CIRL, PRODUCT_CAP, TableAlgebra, search_embedding,
+                      si_structure)
+from .errors import AxiomError, BadParameter, NotACongruenceFilter, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, popcount, relation_rows
 
@@ -85,14 +86,6 @@ class CIRLTable:
         return f"CIRLTable(size={self.size})"
 
 
-def order_covers(poset: FinPoset) -> list[tuple[int, int]]:
-    """The cover pairs (a, b), a covered by b, ordered by the size of
-    ``down[b]``: every pair below an element comes before the pairs above
-    it."""
-    down = poset.down
-    return sorted(poset.covers(), key=lambda ab: popcount(down[ab[1]]))
-
-
 def check_monoid(up, covers, mul, one: int) -> None:
     """Unit, commutativity, associativity and monotonicity of ``mul`` on
     the order whose rows are ``up`` and whose cover pairs are ``covers``,
@@ -150,13 +143,19 @@ def check_residual(down, covers, mul, arrow, law: str) -> None:
     failing (x, y, z) is named under ``law``.  A None cell has no down-set,
     so it fails at the least z with mul[x][z] <= y.
     """
-    n = len(down)
-    for x in range(n):
-        below = preimage_masks(covers, mul[x])
-        want = [0 if v is None else down[v] for v in arrow[x]]
-        if below != want:
-            y = next(y for y in range(n) if below[y] != want[y])
-            diff = below[y] ^ want[y]
+    _compare_masks(((preimage_masks(covers, row),
+                     [0 if v is None else down[v] for v in arrow_row])
+                    for row, arrow_row in zip(mul, arrow)), law)
+
+
+def _compare_masks(rows, law: str) -> None:
+    """``rows`` gives, for each x in turn, the masks found and the masks
+    the law wants, one per y; the first unequal (x, y) fails under
+    ``law`` at the least z in the difference."""
+    for x, (got, want) in enumerate(rows):
+        if got != want:
+            y = next(y for y, (g, w) in enumerate(zip(got, want)) if g != w)
+            diff = got[y] ^ want[y]
             z = (diff & -diff).bit_length() - 1
             raise AxiomError(f"{law} fails at ({x},{y},{z})")
 
@@ -164,7 +163,7 @@ def check_residual(down, covers, mul, arrow, law: str) -> None:
 def validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
     """Check every CIRL law, naming the first failure with a witness."""
     poset = lattice.poset
-    covers = order_covers(poset)
+    covers = poset.covers()
     check_monoid(poset.up, covers, mul, lattice.one)
     check_residual(poset.down, covers, mul, arrow, "residuation")
     return CIRLTable(lattice, mul, arrow)
@@ -179,17 +178,18 @@ def validate_order_algebra(kind: str, lattice: FinLattice, tables: dict,
     if consts["zero"] != zero or consts["one"] != one:
         raise AxiomError("constants are not the lattice bounds")
     if kind in ("heyting", "hplus", "dheyting"):
-        check_residual(lattice.poset.down, order_covers(lattice.poset), meet,
-                       tables["arrow"], "arrow residuation")
+        covers = lattice.poset.covers()
+        check_residual(lattice.poset.down, covers, meet, tables["arrow"],
+                       "arrow residuation")
     if kind == "dheyting":
-        coarrow = tables["coarrow"]
-        for x in range(n):
-            for y in range(n):
-                cxy = coarrow[x][y]
-                for z in range(n):
-                    if (up[x] >> join[z][y] & 1) != (up[cxy] >> z & 1):
-                        raise AxiomError(f"coarrow residuation fails at "
-                                         f"({x},{y},{z})")
+        # x <= z | y iff coarrow(x, y) <= z: the residual of join on the
+        # reversed order, whose covers bottom up are ours reversed;
+        # above[y][x] = {z : x <= z | y}
+        reversed_covers = [(b, a) for a, b in reversed(covers)]
+        above = [preimage_masks(reversed_covers, row) for row in join]
+        _compare_masks(((list(col), [up[c] for c in row])
+                        for col, row in zip(zip(*above), tables["coarrow"])),
+                       "coarrow residuation")
     if kind in ("hplus", "dp"):
         dpc = tables["dpc"]
         for x in range(n):
@@ -220,7 +220,7 @@ def derive_arrow(lattice: FinLattice, mul):
     ``validate_cirl`` checks monotonicity before residuation.
     """
     poset = lattice.poset
-    covers = order_covers(poset)
+    covers = poset.covers()
     max_of = {row: m for m, row in enumerate(poset.down)}.get
     return [list(map(max_of, preimage_masks(covers, row))) for row in mul]
 
@@ -243,16 +243,13 @@ def wajsberg_hoop(n: int) -> CIRLTable:
 def congruence_filters(alg: CIRLTable) -> list[int]:
     """All masks of lattice filters containing 1 and closed under squaring.
 
-    Finite lattice filters are principal, so these are the up-sets of
-    the square-idempotent elements; they biject with the congruences.
+    Finite lattice filters are principal, and up[g] is closed under
+    squaring iff g * g = g, since squaring is monotone and g * g <= g; so
+    these are the up-sets of the idempotents, and they biject with the
+    congruences.
     """
     up = alg.lattice.poset.up
-    return sorted((f for f in up if _square_closed(alg, f)), key=popcount)
-
-
-def _square_closed(alg: CIRLTable, f: int) -> bool:
-    """The lattice filter f holds x * x for every x in it."""
-    return all(f >> alg.mul[x][x] & 1 for x in bits(f))
+    return sorted((up[g] for g in alg.idempotents()), key=popcount)
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,9 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
                       c: int | None = None, q: int | None = None) -> CIRLTable:
     """Product of the cones below c and q, plus a fresh shared top.
 
-    c and q default to the unique coatoms and must be strictly negative.
+    c and q default to the unique coatoms and must be strictly negative;
+    a product of more than PRODUCT_CAP elements raises SizeError before
+    any table is built.
     """
     if c is None:
         info = monolith_info(a)
@@ -308,6 +307,11 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
         q = info.coatom
     if c == a.one or q == b.one:
         raise BadParameter("c and q must be strictly negative")
+    nb = popcount(b.lattice.poset.down[q])
+    size = popcount(a.lattice.poset.down[c]) * nb + 1
+    if size > PRODUCT_CAP:
+        raise SizeError(f"truncated product of {size} elements exceeds "
+                        f"cap {PRODUCT_CAP}")
 
     def side(alg, g, scale):
         # the cone below g: its up rows, and mul on it as cone indices
@@ -319,7 +323,6 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
 
     # the pair (x, y) of cone elements is element (index of x) * nb +
     # (index of y), and the shared top is the last element
-    nb = popcount(b.lattice.poset.down[q])
     up_a, mul_a = side(a, c, nb)
     up_b, mul_b = side(b, q, 1)
     top = len(up_a) * nb
@@ -349,10 +352,10 @@ def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
     is x -> y, and y -> (x | y) is 1.
     """
     lat = alg.lattice
-    # a congruence filter is up[g] for its meet g, and holds x * x with x
+    # a congruence filter is up[g] for an idempotent g, its meet
     if not 0 < filter_mask <= lat.poset.all_mask or \
-            lat.poset.up[lat.meet_all(filter_mask)] != filter_mask or \
-            not _square_closed(alg, filter_mask):
+            lat.poset.up[g := lat.meet_all(filter_mask)] != filter_mask or \
+            alg.mul[g][g] != g:
         raise NotACongruenceFilter(f"mask {filter_mask:b}")
     res = alg.arrow
     reps = []

@@ -585,6 +585,37 @@ def oracle_order_laws(alg) -> None:
                                      f"({x},{y})")
 
 
+def oracle_coarrow_law(lattice: FinLattice, coarrow) -> None:
+    """x <= z | y iff coarrow(x, y) <= z, scanned over every (x, y, z)."""
+    n, up, join = lattice.size, lattice.poset.up, lattice.join
+    for x in range(n):
+        for y in range(n):
+            cxy = coarrow[x][y]
+            for z in range(n):
+                if (up[x] >> join[z][y] & 1) != (up[cxy] >> z & 1):
+                    raise AxiomError(f"coarrow residuation fails at "
+                                     f"({x},{y},{z})")
+
+
+def oracle_congruence_filters(alg: CIRLTable) -> list[int]:
+    """The principal filters that hold x * x for every x in them."""
+    up = alg.lattice.poset.up
+    return sorted((f for f in up
+                   if all(f >> alg.mul[x][x] & 1 for x in bits(f))),
+                  key=popcount)
+
+
+def oracle_covers(p: FinPoset) -> list[tuple[int, int]]:
+    """The pairs (a, b) with a covered by b, a then b ascending."""
+    out = []
+    for a in range(p.size):
+        for b in bits(p.up[a] & ~(1 << a)):
+            between = p.up[a] & p.down[b] & ~(1 << a) & ~(1 << b)
+            if not between:
+                out.append((a, b))
+    return out
+
+
 def single_cell_mutations(obj: dict, keys):
     """Copies of a JSON algebra with one cell of one table, or one
     constant, named in ``keys`` changed to each other element index."""

@@ -1,16 +1,18 @@
 import json
 import re
+import time
 
 import pytest
 
-from conftest import all_posets, oracle_order_laws, single_cell_mutations
+from conftest import (all_posets, oracle_coarrow_law, oracle_order_laws,
+                      single_cell_mutations)
 from splitbench import cli, residuated
 from splitbench.diagram import KINDS, TableAlgebra
 from splitbench.duality import up_set_algebra
 from splitbench.errors import AxiomError, SplitbenchError
 from splitbench.lattice import FinLattice
 from splitbench.poset import build_poset
-from splitbench.residuated import wajsberg_hoop
+from splitbench.residuated import truncated_product, wajsberg_hoop
 
 
 def run_cli(capsys, *argv):
@@ -368,3 +370,102 @@ def test_heyting_laws_match_oracle_on_up_of_four_points(monkeypatch):
     assert len(verdicts) == 2 * 10 * 10 * 9 + 10 * 9
     for got, want in verdicts:
         assert got == want and got is not None
+
+
+def _law_message(law, *args):
+    try:
+        law(*args)
+    except AxiomError as exc:
+        return str(exc)
+    return None
+
+
+def test_coarrow_law_matches_oracle_on_up_of_four_points(monkeypatch):
+    # the coarrow law on the reversed covers of a 10-element non-chain
+    # lattice: every single-cell arrow and coarrow mutation of Up of a vee
+    # beside a point, loaded as dheyting, fails with the oracle's message,
+    # and each coarrow failure with the old coarrow loop's
+    check = residuated.validate_order_algebra
+    verdicts = []
+
+    def both(kind, lattice, tables, consts):
+        verdicts.append((
+            _law_message(check, kind, lattice, tables, consts),
+            _law_message(oracle_order_laws,
+                         TableAlgebra(kind, lattice, tables, consts)),
+            _law_message(oracle_coarrow_law, lattice, tables["coarrow"])))
+
+    monkeypatch.setattr(residuated, "validate_order_algebra", both)
+    alg = up_set_algebra(build_poset(4, [(0, 1), (2, 1)]))
+    assert alg.size == 10
+    obj = cli.upalgebra_to_json(alg, "dheyting")
+    for mutated in single_cell_mutations(obj, ["arrow", "coarrow"]):
+        cli.algebra_from_json(mutated)
+    assert len(verdicts) == 2 * 10 * 10 * 9
+    laws = []
+    for got, want, coarrow in verdicts:
+        assert got == want and got is not None
+        laws.append(got.split(" fails")[0])
+        if laws[-1] == "coarrow residuation":
+            assert got == coarrow
+    assert laws.count("arrow residuation") == laws.count(
+        "coarrow residuation") == 10 * 10 * 9
+
+
+def test_witness_and_diagram_keep_the_poset_cap(tmp_path, capsys,
+                                                monkeypatch):
+    vee = write(tmp_path, "vee.json",
+                {"kind": "poset", "size": 3, "le": [[0, 1], [2, 1]]})
+    for argv in (["witness", vee, "--sig", "hplus", "--imax", "0"],
+                 ["diagram", vee, "--sig", "dheyting"]):
+        assert cli.run(["--max-poset", "2", *argv]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "poset size 3 exceeds cap 2" in captured.err, argv
+        monkeypatch.setenv(cli.ENV_MAX_POSET, "2")
+        assert cli.run(argv) == 3, argv
+        assert "exceeds cap 2" in capsys.readouterr().err, argv
+        monkeypatch.delenv(cli.ENV_MAX_POSET)
+        assert cli.run(["--max-poset", "3", *argv]) == 0, argv
+        capsys.readouterr()
+
+
+def test_witness_refuses_tables_without_the_operations(tmp_path, capsys):
+    up = up_set_algebra(build_poset(4, [(0, 1), (2, 1), (2, 3)]))
+    tables = {kind: cli.upalgebra_to_json(up, kind)
+              for kind in ("heyting", "hplus", "dheyting", "dp")}
+    tables["cirl"] = cli.algebra_to_json(wajsberg_hoop(3), "cirl")
+    for kind, sigs in (("cirl", ("hplus", "dheyting")),
+                       ("dp", ("hplus", "dheyting")),
+                       ("heyting", ("hplus", "dheyting")),
+                       ("hplus", ("dheyting",)),
+                       ("dheyting", ("hplus",))):
+        path = write(tmp_path, f"{kind}.json", tables[kind])
+        for sig in sigs:
+            for argv in (["witness", path, "--sig", sig, "--imax", "0"],
+                         ["diagram", path, "--sig", sig]):
+                assert cli.run(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert f"does not carry the {sig} operations" in \
+                    captured.err, argv
+
+
+def test_truncated_products_past_the_cap_exit_three(tmp_path, capsys):
+    # witness on C5 x C5 would build a 2651-element product, and the
+    # product of two 20-element hoops has 19 * 19 + 1 elements
+    c5 = wajsberg_hoop(5)
+    product = write(tmp_path, "c5c5.json",
+                    cli.algebra_to_json(truncated_product(c5, c5), "cirl"))
+    hoop = write(tmp_path, "c20.json",
+                 cli.algebra_to_json(wajsberg_hoop(20), "cirl"))
+    for argv, size in ((["witness", product, "--sig", "cirl", "--imax", "0"],
+                        2651),
+                       (["truncprod", hoop, hoop], 362)):
+        start = time.perf_counter()
+        assert cli.run(argv) == 3, argv
+        assert time.perf_counter() - start < 10, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"truncated product of {size} elements exceeds cap 256" in \
+            captured.err, argv

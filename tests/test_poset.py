@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
-from conftest import all_posets, antichain, chain, crown4, fence, oracle_up_sets, vee
+from conftest import (all_posets, antichain, chain, crown4, fence,
+                      oracle_covers, oracle_up_sets, vee)
+from splitbench.cli import poset_to_json
 from splitbench.errors import BadParameter, CycleError, RangeError, SizeError
 from splitbench.poset import (DoublePointedPoset, FinPoset, bits, build_poset,
                               canonical_key, closures, enumerate_up_sets,
@@ -218,3 +222,17 @@ def test_canonical_key_is_isomorphism_invariant():
         perm = list(range(p.size))
         rng.shuffle(perm)
         assert canonical_key(p.relabel(perm)) == k
+
+
+def test_covers_are_the_old_loop_bottom_up():
+    # every labelled poset of size <= 4: the old loop's pairs sorted by
+    # the size of the upper element's down-set, and poset_to_json's le
+    # list in the old loop's order
+    labelled = {p.relabel(perm) for p in all_posets(4, dedupe=True)
+                for perm in itertools.permutations(range(p.size))}
+    assert len(labelled) == 1 + 3 + 19 + 219
+    for p in labelled:
+        old = oracle_covers(p)
+        bottom_up = sorted(old, key=lambda ab: popcount(p.down[ab[1]]))
+        assert p.covers() == bottom_up
+        assert poset_to_json(p)["le"] == [[a, b] for a, b in old]

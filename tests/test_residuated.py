@@ -4,16 +4,18 @@ import re
 from functools import cache
 
 from conftest import (all_lattices, chain, enumerate_cirls, m3,
+                      oracle_congruence_filters,
                       oracle_derive_arrow, oracle_monolith_info,
                       oracle_quotient,
                       oracle_truncated_product, oracle_validate_cirl,
                       single_cell_mutations)
 from splitbench.cli import algebra_to_json
 from splitbench.errors import (AxiomError, BadParameter,
-                               NotACongruenceFilter)
+                               NotACongruenceFilter, SizeError)
 from splitbench.lattice import FinLattice
 from splitbench.poset import bits, build_poset, popcount
 from splitbench.diagram import CIRL, search_embedding
+from splitbench import residuated
 from splitbench.residuated import (congruence_filters, derive_arrow,
                                    is_isomorphic,
                                    monolith_info, quotient,
@@ -162,6 +164,32 @@ def test_quotient_matches_oracle():
                 with pytest.raises(NotACongruenceFilter,
                                    match=f"^mask {mask:b}$"):
                     build(alg, mask)
+
+
+def test_congruence_filters_match_oracle():
+    # the up-sets of the idempotents are the filters closed under
+    # squaring: every CIRL of the lattices of size <= 5, the SI family
+    # and its truncated products
+    family = [c for lat in all_lattices(5) if lat.size > 1
+              for c in enumerate_cirls(lat)]
+    family += _si_family() + [got for got, _ in _products()]
+    for alg in family:
+        assert congruence_filters(alg) == oracle_congruence_filters(alg)
+
+
+def test_truncated_product_cap(monkeypatch):
+    # the cap is on |down c| * |down q| + 1, tested before any table
+    monkeypatch.setattr(residuated, "PRODUCT_CAP", 16)
+    assert truncated_product(wajsberg_hoop(4), wajsberg_hoop(6)).size == 16
+    with pytest.raises(SizeError,
+                       match="^truncated product of 19 elements exceeds "
+                             "cap 16$"):
+        truncated_product(wajsberg_hoop(4), wajsberg_hoop(7))
+    # element i of the hoop is the i-th power, so down[i] has n - i
+    with pytest.raises(SizeError, match="of 39 elements"):
+        truncated_product(wajsberg_hoop(20), wajsberg_hoop(3), c=1)
+    assert truncated_product(wajsberg_hoop(20), wajsberg_hoop(3),
+                             c=17).size == 3 * 2 + 1
 
 
 def test_meet_multiplication_is_always_valid():
