@@ -24,10 +24,13 @@ class UpSetAlgebra:
     only materialised on demand since carriers can be large.
     """
 
-    __slots__ = ("base", "_elements", "_index")
+    __slots__ = ("base", "one", "_elements", "_index")
+
+    zero = bottom = 0
 
     def __init__(self, base: FinPoset):
         self.base = base
+        self.one = base.all_mask
         self._elements = None
         self._index = None
 
@@ -50,18 +53,6 @@ class UpSetAlgebra:
     def index(self, u: int) -> int:
         self.materialize()
         return self._index[u]
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return self.base.all_mask
-
-    @property
-    def bottom(self) -> int:
-        return 0
 
     # -- operations (masks in, masks out) ---------------------------------
 
@@ -348,7 +339,8 @@ def katrinak_arrow(alg: UpSetAlgebra, u: int, v: int) -> int:
     Only valid over bases of height <= 1 (the regular case); the result
     coincides with the algebra's arrow table there.
     """
-    if not classify_algebra(alg.base).rdp:
+    x = alg.base
+    if (x.minimals() | x.maximals()) != x.all_mask:
         raise NotRegular("base has an element that is neither minimal nor maximal")
     n, s, m, j = alg.neg, alg.dpc, alg.meet, alg.join
     left = n(n(j(n(u), n(n(v)))))
@@ -401,9 +393,8 @@ def _closed_subsets(x: FinPoset) -> set[int]:
         r, frontier = 0, 1 << y
         while frontier:
             r |= frontier
-            step = 0
-            for z in bits(frontier):
-                step |= (x.down[z] & mins) | (x.up[z] & maxs)
+            step = ((x.down_mask(frontier) & mins)
+                    | (x.up_mask(frontier) & maxs))
             frontier = step & ~r
         reach.add(r)
     closed = {0}

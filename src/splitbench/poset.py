@@ -34,14 +34,31 @@ def relation_rows(n: int, leq) -> list[int]:
     return [sum(1 << j for j in range(n) if leq(i, j)) for i in range(n)]
 
 
+def _byte_tables(rows) -> list[list[int]]:
+    """For each 8-bit chunk of the carrier, the union of ``rows`` over
+    every subset of that chunk, indexed by the subset's byte ("Four
+    Russians", Arlazarov, Dinic, Kronrod & Faradzev 1970)."""
+    tables = []
+    for base in range(0, len(rows), 8):
+        chunk = rows[base:base + 8]
+        t = [0] * (1 << len(chunk))
+        for m in range(1, len(t)):
+            low = m & -m
+            t[m] = t[m ^ low] | chunk[low.bit_length() - 1]
+        tables.append(t)
+    return tables
+
+
 class FinPoset:
     """A finite partial order given by its full relation.
 
     ``up[i]`` is the mask of elements >= i and ``down[i]`` the mask of
-    elements <= i; both include i itself.
+    elements <= i; both include i itself.  ``up_mask`` and ``down_mask``
+    read per-byte tables of these rows, built on their first call.
     """
 
-    __slots__ = ("size", "up", "down")
+    __slots__ = ("size", "up", "down", "all_mask", "_up_tables",
+                 "_down_tables")
 
     def __init__(self, up_rows):
         up = tuple(up_rows)
@@ -58,6 +75,8 @@ class FinPoset:
         self.size = n
         self.up = up
         self.down = tuple(down)
+        self.all_mask = full
+        self._up_tables = self._down_tables = None
         self._check_order()
 
     def _check_order(self):
@@ -77,20 +96,24 @@ class FinPoset:
     def lt(self, i: int, j: int) -> bool:
         return i != j and self.leq(i, j)
 
-    @property
-    def all_mask(self) -> int:
-        return (1 << self.size) - 1
-
     def up_mask(self, s: int) -> int:
+        tables = self._up_tables
+        if tables is None:
+            tables = self._up_tables = _byte_tables(self.up)
         out = 0
-        for i in bits(s):
-            out |= self.up[i]
+        for t in tables:
+            out |= t[s & 0xFF]
+            s >>= 8
         return out
 
     def down_mask(self, s: int) -> int:
+        tables = self._down_tables
+        if tables is None:
+            tables = self._down_tables = _byte_tables(self.down)
         out = 0
-        for i in bits(s):
-            out |= self.down[i]
+        for t in tables:
+            out |= t[s & 0xFF]
+            s >>= 8
         return out
 
     def minimals(self) -> int:
@@ -121,7 +144,7 @@ class FinPoset:
         return max(best)
 
     def is_up_set(self, s: int) -> bool:
-        return all(not (self.up[i] & ~s) for i in bits(s))
+        return self.up_mask(s) == s
 
     def dual(self) -> "FinPoset":
         return FinPoset(self.down)
@@ -253,20 +276,8 @@ def enumerate_up_sets(p: FinPoset, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
     """All up-sets of p in ascending bitmask order."""
     if 1 << p.size > cap:
         raise SizeError(f"2^{p.size} up-set candidates exceed cap {cap}")
-    up = p.up
-    out = []
-    for s in range(1 << p.size):
-        ok = True
-        rest = s
-        while rest:
-            low = rest & -rest
-            if up[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            out.append(s)
-    return out
+    up_mask = p.up_mask
+    return [s for s in range(1 << p.size) if up_mask(s) == s]
 
 
 @dataclass(frozen=True)

@@ -605,6 +605,22 @@ def oracle_congruence_filters(alg: CIRLTable) -> list[int]:
                   key=popcount)
 
 
+def oracle_up_mask(p: FinPoset, s: int) -> int:
+    """Union of the up rows of the points of s, one point at a time."""
+    out = 0
+    for i in bits(s):
+        out |= p.up[i]
+    return out
+
+
+def oracle_down_mask(p: FinPoset, s: int) -> int:
+    """Union of the down rows of the points of s, one point at a time."""
+    out = 0
+    for i in bits(s):
+        out |= p.down[i]
+    return out
+
+
 def oracle_covers(p: FinPoset) -> list[tuple[int, int]]:
     """The pairs (a, b) with a covered by b, a then b ascending."""
     out = []

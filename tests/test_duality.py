@@ -248,6 +248,27 @@ def test_katrinak_arrow():
         katrinak_arrow(up_set_algebra(chain(3)), 0, 0)
 
 
+def test_katrinak_arrow_on_all_small_posets():
+    # regular bases get the table's arrow on every pair; every other base
+    # is refused with the same error on every pair
+    posets = all_posets(5, dedupe=True)
+    assert len(posets) == 87
+    for p in posets:
+        alg = up_set_algebra(p)
+        middle = [i for i in range(p.size)
+                  if any(p.lt(j, i) for j in range(p.size))
+                  and any(p.lt(i, k) for k in range(p.size))]
+        for u in alg.elements:
+            for v in alg.elements:
+                if middle:
+                    with pytest.raises(NotRegular) as err:
+                        katrinak_arrow(alg, u, v)
+                    assert str(err.value) == ("base has an element that is "
+                                              "neither minimal nor maximal")
+                else:
+                    assert katrinak_arrow(alg, u, v) == alg.arrow(u, v)
+
+
 def test_generate_subalgebra():
     a2 = up_set_algebra(antichain(2))
     assert generate_subalgebra(a2, [], "hplus") == {a2.zero, a2.one}

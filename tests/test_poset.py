@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import (all_posets, antichain, chain, crown4, fence,
-                      oracle_covers, oracle_up_sets, vee)
+                      oracle_covers, oracle_down_mask, oracle_up_mask,
+                      oracle_up_sets, vee)
 from splitbench.cli import poset_to_json
 from splitbench.errors import BadParameter, CycleError, RangeError, SizeError
 from splitbench.poset import (DoublePointedPoset, FinPoset, bits, build_poset,
                               canonical_key, closures, enumerate_up_sets,
                               find_tails, is_connected, is_fence,
-                              order_isolated, popcount, power_chain, searrow)
+                              order_isolated, popcount, power_chain,
+                              relation_rows, searrow)
 
 
 def test_build_poset_closure():
@@ -236,3 +239,45 @@ def test_covers_are_the_old_loop_bottom_up():
         bottom_up = sorted(old, key=lambda ab: popcount(p.down[ab[1]]))
         assert p.covers() == bottom_up
         assert poset_to_json(p)["le"] == [[a, b] for a, b in old]
+
+
+def _assert_masks_match_oracle(p, subsets):
+    # up_mask, down_mask, closures, is_up_set and is_connected read the
+    # per-byte tables; the oracles step through the points one at a time
+    for s in subsets:
+        up, down = oracle_up_mask(p, s), oracle_down_mask(p, s)
+        assert p.up_mask(s) == up, (repr(p), bin(s))
+        assert p.down_mask(s) == down, (repr(p), bin(s))
+        assert closures(p, s) == (up, down, up | down)
+        assert p.is_up_set(s) == all(not (p.up[i] & ~s) for i in bits(s))
+    seen = 1
+    while True:
+        nxt = oracle_up_mask(p, seen) | oracle_down_mask(p, seen)
+        if nxt == seen:
+            break
+        seen = nxt
+    assert is_connected(p) == (seen == p.all_mask)
+
+
+def test_masks_match_oracle_on_every_subset_of_small_posets():
+    labelled = {p.relabel(perm) for p in all_posets(4, dedupe=True)
+                for perm in itertools.permutations(range(p.size))}
+    assert len(labelled) == 242
+    for p in labelled:
+        _assert_masks_match_oracle(p, range(1 << p.size))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 24])
+def test_masks_match_oracle_across_byte_boundaries(n):
+    # the byte boundaries and the input cap, plus a 40-element chain: the
+    # orders the package builds itself can pass the input cap
+    rng = random.Random(n)
+    posets = [chain(n), antichain(n), fence(n), fence(n, start_up=False)]
+    if n == 24:
+        posets.append(FinPoset(relation_rows(40, lambda i, j: i <= j)))
+    for p in posets:
+        full = p.all_mask
+        subsets = [0, full] + [1 << i for i in range(p.size)]
+        subsets += [rng.getrandbits(p.size) for _ in range(300)]
+        subsets += [full & ~(1 << i) for i in range(p.size)]
+        _assert_masks_match_oracle(p, subsets)
