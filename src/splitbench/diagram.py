@@ -40,13 +40,8 @@ class Signature:
                 f"algebra {alg!r} does not carry the {self.tag} operations")
 
     def iff(self, alg, x, y):
-        if self.tag == "cirl":
-            fwd = alg.res(x, y)
-            bwd = alg.res(y, x)
-            return alg.meet(alg.meet(fwd, bwd), alg.one)
-        fwd = alg.arrow(x, y)
-        bwd = alg.arrow(y, x)
-        return alg.meet(fwd, bwd)
+        res = alg.res if self.tag == "cirl" else alg.arrow
+        return alg.meet(res(x, y), res(y, x))
 
     def delta(self, alg, x):
         if self.tag == "cirl":
@@ -151,7 +146,7 @@ def eval_diagram(d: TermDiagram, asg: Assignment):
     if len(asg.values) != d.var_count:
         raise BadParameter("assignment arity mismatch")
     vals = asg.values
-    bottom = getattr(b, "bottom", None)
+    bottom = b.bottom
     out = b.one
     for cname, p in d.const_conjuncts:
         out = b.meet(out, sig.iff(b, vals[p], getattr(b, cname)))
@@ -201,21 +196,29 @@ def si_structure(alg, sig) -> SiStructure:
 
 
 class TableAlgebra:
-    """A finite algebra given by explicit operation tables on a lattice."""
+    """A finite algebra given by explicit operation tables on a lattice.
+
+    Each operation of ``KINDS[kind]`` is a method under its name, read
+    from the table under its JSON key; a table whose key is not the
+    method name (``cirl``'s ``mul`` and ``arrow``) is kept under its key
+    too.  Each constant is an attribute.
+    """
 
     def __init__(self, kind: str, lattice, tables: dict, consts: dict):
         self.kind = kind
         self.lattice = lattice
         self.size = lattice.size
-        # each table is an operation named by its key, binary for a table
-        # of rows; each constant is an attribute
-        for name, t in tables.items():
-            binary = t and isinstance(t[0], list)
-            setattr(self, name,
-                    (lambda a, b, t=t: t[a][b]) if binary else t.__getitem__)
+        self.bottom = lattice.zero
+        sig = KINDS[kind]
+        for key, meth in sig.binary:
+            t = tables[key]
+            setattr(self, meth, lambda a, b, t=t: t[a][b])
+            if key != meth:
+                setattr(self, key, t)
+        for key, meth in sig.unary:
+            setattr(self, meth, tables[key].__getitem__)
         for name, value in consts.items():
             setattr(self, name, value)
-        self.bottom = consts.get("zero")
 
     @property
     def elements(self):

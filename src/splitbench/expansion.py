@@ -7,18 +7,23 @@ lattice through the Galois closure of a nuclear relation.
 
 from dataclasses import dataclass
 
-from .errors import AxiomError, BadParameter, NotSI
+from .errors import AxiomError, BadParameter, NotSI, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, relation_rows
 from .residuated import (CIRLTable, MonolithInfo, check_monoid, derive_arrow,
                          monolith_info, preimage_masks, validate_cirl)
+
+# each round roughly doubles the algebra, and building a round grows
+# steeply with its monoid's size; past this size the round is refused
+EXPANSION_CAP = 128
 
 
 class ExpandedMonoid:
     """The ordered commutative monoid on A plus the inserted elements.
 
     Elements 0..|A|-1 are the base algebra's; the rest are the inserted
-    d_a in ascending order of a.
+    d_a in ascending order of a.  A monoid of more than EXPANSION_CAP
+    elements raises SizeError before any table is built.
     """
 
     __slots__ = ("base", "c", "a0", "d_index", "base_of", "size",
@@ -27,6 +32,9 @@ class ExpandedMonoid:
     def __init__(self, base: CIRLTable, c: int):
         n = base.size
         a0 = [a for a in range(n) if base.mul[c][a] != a]
+        if n + len(a0) > EXPANSION_CAP:
+            raise SizeError(f"expansion monoid of {n + len(a0)} elements "
+                            f"exceeds cap {EXPANSION_CAP}")
         self.base = base
         self.c = c
         self.a0 = a0

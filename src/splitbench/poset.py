@@ -54,7 +54,9 @@ class FinPoset:
 
     ``up[i]`` is the mask of elements >= i and ``down[i]`` the mask of
     elements <= i; both include i itself.  ``up_mask`` and ``down_mask``
-    read per-byte tables of these rows, built on their first call.
+    read per-byte tables of these rows, built on their first call, and
+    raise RangeError on a mask with bits outside the carrier (a negative
+    mask included).
     """
 
     __slots__ = ("size", "up", "down", "all_mask", "_up_tables",
@@ -97,6 +99,8 @@ class FinPoset:
         return i != j and self.leq(i, j)
 
     def up_mask(self, s: int) -> int:
+        if s & ~self.all_mask:
+            raise RangeError("subset out of range")
         tables = self._up_tables
         if tables is None:
             tables = self._up_tables = _byte_tables(self.up)
@@ -107,6 +111,8 @@ class FinPoset:
         return out
 
     def down_mask(self, s: int) -> int:
+        if s & ~self.all_mask:
+            raise RangeError("subset out of range")
         tables = self._down_tables
         if tables is None:
             tables = self._down_tables = _byte_tables(self.down)
@@ -144,7 +150,7 @@ class FinPoset:
         return max(best)
 
     def is_up_set(self, s: int) -> bool:
-        return self.up_mask(s) == s
+        return not s & ~self.all_mask and self.up_mask(s) == s
 
     def dual(self) -> "FinPoset":
         return FinPoset(self.down)
@@ -206,8 +212,6 @@ class Closures(NamedTuple):
 
 def closures(p: FinPoset, s: int) -> Closures:
     """Up-, down- and convex closure masks of the subset s."""
-    if s & ~p.all_mask:
-        raise RangeError("subset out of range")
     u = p.up_mask(s)
     d = p.down_mask(s)
     return Closures(u, d, u | d)

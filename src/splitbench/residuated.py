@@ -10,55 +10,24 @@ from .lattice import FinLattice
 from .poset import FinPoset, bits, popcount, relation_rows
 
 
-class CIRLTable:
-    """Lattice plus commutative monoid and residual tables.
+class CIRLTable(TableAlgebra):
+    """Lattice plus commutative monoid and residual tables: the
+    ``TableAlgebra`` of kind ``cirl``, whose ``mul`` and ``arrow`` tables
+    are read by ``mult`` and ``res``.
 
     The multiplicative unit is the lattice top (integrality).  Instances
     are expected to come from validate_cirl or from the constructors in
     this module, all of which check the laws.
     """
 
-    __slots__ = ("lattice", "mul", "arrow")
-    kind = "cirl"
-
     def __init__(self, lattice: FinLattice, mul, arrow):
-        self.lattice = lattice
-        self.mul = mul
-        self.arrow = arrow
-
-    @property
-    def size(self) -> int:
-        return self.lattice.size
-
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
-    @property
-    def one(self) -> int:
-        return self.lattice.one
-
-    @property
-    def bottom(self) -> int:
-        return self.lattice.zero
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.lattice.leq(a, b)
-
-    def meet(self, a: int, b: int) -> int:
-        return self.lattice.meet[a][b]
-
-    def join(self, a: int, b: int) -> int:
-        return self.lattice.join[a][b]
-
-    def mult(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def res(self, a: int, b: int) -> int:
-        return self.arrow[a][b]
+        super().__init__("cirl", lattice,
+                         {"meet": lattice.meet, "join": lattice.join,
+                          "mul": mul, "arrow": arrow},
+                         {"one": lattice.one})
 
     def iff(self, a: int, b: int) -> int:
-        return self.meet(self.meet(self.res(a, b), self.res(b, a)), self.one)
+        return CIRL.iff(self, a, b)
 
     def power(self, a: int, k: int) -> int:
         out = self.one
@@ -81,9 +50,6 @@ class CIRLTable:
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.mul[x][x] == x]
-
-    def __repr__(self):
-        return f"CIRLTable(size={self.size})"
 
 
 def check_monoid(up, covers, mul, one: int) -> None:

@@ -469,3 +469,23 @@ def test_truncated_products_past_the_cap_exit_three(tmp_path, capsys):
         assert captured.out == "", argv
         assert f"truncated product of {size} elements exceeds cap 256" in \
             captured.err, argv
+
+
+def test_expansions_past_the_cap_exit_three(tmp_path, capsys):
+    # the C2 tower reaches depth 64 in a 65-element round, and the next
+    # round, which depth 256 ran into for over 300 s, takes a 129-element
+    # monoid; so does the first round of the 65-hoop
+    c2 = write(tmp_path, "c2.json",
+               cli.algebra_to_json(wajsberg_hoop(2), "cirl"))
+    c65 = write(tmp_path, "c65.json",
+                cli.algebra_to_json(wajsberg_hoop(65), "cirl"))
+    for argv in (["expand", c2, "--depth", "256"],
+                 ["expand", c65, "--depth", "128"],
+                 ["expand", c65, "--rounds", "1"]):
+        start = time.perf_counter()
+        assert cli.run(argv) == 3, argv
+        assert time.perf_counter() - start < 30, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "expansion monoid of 129 elements exceeds cap 128" in \
+            captured.err, argv

@@ -5,7 +5,7 @@ import pytest
 from conftest import (all_lattices, all_posets, enumerate_cirls, oracle_in_hs,
                       oracle_monolith_info, oracle_search_hom)
 from splitbench.cli import algebra_from_json, upalgebra_to_json
-from splitbench.diagram import (CIRL, DHEYTING, HPLUS, Assignment,
+from splitbench.diagram import (CIRL, DHEYTING, HPLUS, KINDS, Assignment,
                                 TableAlgebra, build_diagram,
                                 delta_power_witness, embedding_by_diagram,
                                 eval_diagram, get_signature, in_hs,
@@ -302,3 +302,36 @@ def test_witness_suite_hplus_fence():
     for entry in rep.entries:
         assert entry.delta_witness_found
         assert entry.excluded is True
+
+
+def test_cirl_and_order_tables_are_one_table_algebra():
+    # a hoop is the TableAlgebra of kind cirl: mult and res read its mul
+    # and arrow tables, meet and join its lattice's
+    c3 = wajsberg_hoop(3)
+    assert isinstance(c3, TableAlgebra) and c3.kind == "cirl"
+    assert c3.bottom == c3.lattice.zero == 2
+    for x in c3.elements:
+        for y in c3.elements:
+            assert c3.mult(x, y) == c3.mul[x][y]
+            assert c3.res(x, y) == c3.arrow[x][y]
+            assert c3.meet(x, y) == c3.lattice.meet[x][y]
+            assert c3.join(x, y) == c3.lattice.join[x][y]
+            assert c3.iff(x, y) == CIRL.iff(c3, x, y) == \
+                c3.meet(c3.res(x, y), c3.res(y, x))
+    # every operation of an order kind is bound under its method name
+    # from the table under its key
+    up = up_set_algebra(build_poset(4, [(0, 1), (2, 1), (2, 3)]))
+    for kind, sig in KINDS.items():
+        if kind == "cirl":
+            continue
+        obj = upalgebra_to_json(up, kind)
+        alg = algebra_from_json(obj)
+        assert type(alg) is TableAlgebra and alg.kind == kind
+        assert alg.bottom == alg.zero == alg.lattice.zero
+        for key, meth in sig.binary:
+            fn = getattr(alg, meth)
+            assert [[fn(x, y) for y in alg.elements]
+                    for x in alg.elements] == obj[key], (kind, key)
+        for key, meth in sig.unary:
+            fn = getattr(alg, meth)
+            assert [fn(x) for x in alg.elements] == obj[key], (kind, key)

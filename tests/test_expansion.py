@@ -4,8 +4,10 @@ import pytest
 
 from conftest import (all_lattices, enumerate_cirls, oracle_frame_basic,
                       oracle_lp_arrow)
-from splitbench.errors import BadParameter
-from splitbench.expansion import (NuclearFrame, build_expansion_monoid,
+from splitbench import expansion
+from splitbench.errors import BadParameter, SizeError
+from splitbench.expansion import (ExpandedMonoid, NuclearFrame,
+                                  build_expansion_monoid,
                                   expand_once, expand_to_depth, gamma_closure,
                                   lp_algebra)
 from splitbench.lattice import FinLattice
@@ -218,3 +220,28 @@ def test_frame_and_closure_residual_match_oracle():
             alg = step.algebra
             rounds += 1
     assert rounds == 2 * 41
+
+
+def test_expansion_cap(monkeypatch):
+    # the cap is on the monoid's size, n plus one inserted element for
+    # each a with c * a != a, tested before any table of the round
+    assert expansion.EXPANSION_CAP == 128
+    with pytest.raises(SizeError, match="^expansion monoid of 129 elements "
+                                        "exceeds cap 128$"):
+        build_expansion_monoid(wajsberg_hoop(65))
+    monkeypatch.setattr(expansion, "EXPANSION_CAP", 9)
+    assert build_expansion_monoid(wajsberg_hoop(5)).size == 9
+
+    def no_tables(self):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr(ExpandedMonoid, "_build_order", no_tables)
+    with pytest.raises(SizeError, match="of 11 elements exceeds cap 9"):
+        build_expansion_monoid(wajsberg_hoop(6))
+    # the C2 tower has 2, 3, 5, 9 and 17 elements at depth 1, 2, 4, 8 and
+    # 16, each round's monoid as large as its result
+    monkeypatch.undo()
+    monkeypatch.setattr(expansion, "EXPANSION_CAP", 16)
+    assert expand_to_depth(wajsberg_hoop(2), 8).algebra.size == 9
+    with pytest.raises(SizeError, match="of 17 elements exceeds cap 16"):
+        expand_to_depth(wajsberg_hoop(2), 9)

@@ -281,3 +281,21 @@ def test_masks_match_oracle_across_byte_boundaries(n):
         subsets += [rng.getrandbits(p.size) for _ in range(300)]
         subsets += [full & ~(1 << i) for i in range(p.size)]
         _assert_masks_match_oracle(p, subsets)
+
+
+def test_masks_outside_the_carrier_raise():
+    # stray bits in the last byte, past it, far past it, and negative
+    # masks are all outside the carrier
+    for n in (8, 9, 16, 17, 24):
+        p = chain(n)
+        full = p.all_mask
+        for s in (-1, -(1 << n), 1 << n, 1 << (n + 3), (1 << n) | 1,
+                  1 << 20 if n < 20 else 1 << 40):
+            for op in (p.up_mask, p.down_mask,
+                       lambda s: closures(p, s)):
+                with pytest.raises(RangeError, match="subset out of range"):
+                    op(s)
+            assert p.is_up_set(s) is False
+        assert p.up_mask(full) == p.down_mask(full) == full
+        assert p.up_mask(1) == full and p.down_mask(1 << (n - 1)) == full
+        assert p.is_up_set(0) and p.is_up_set(full)
