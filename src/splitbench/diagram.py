@@ -9,6 +9,7 @@ up-set algebras are handled uniformly.
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
 from .poset import FinPoset, bits, popcount
@@ -201,7 +202,8 @@ class TableAlgebra:
     Each operation of ``KINDS[kind]`` is a method under its name, read
     from the table under its JSON key; a table whose key is not the
     method name (``cirl``'s ``mul`` and ``arrow``) is kept under its key
-    too.  Each constant is an attribute.
+    too.  Each constant is an attribute.  ``_plans`` holds the compiled
+    embedding-search plans of the algebra as a source.
     """
 
     def __init__(self, kind: str, lattice, tables: dict, consts: dict):
@@ -219,6 +221,7 @@ class TableAlgebra:
             setattr(self, meth, tables[key].__getitem__)
         for name, value in consts.items():
             setattr(self, name, value)
+        self._plans = {}
 
     @property
     def elements(self):
@@ -239,48 +242,149 @@ def _rank_order(alg):
     return sorted(elements, key=lambda e: sum(alg.leq(f, e) for f in elements))
 
 
-def search_hom(a, b, sig, require_injective: bool,
-               forbid=None):
+def _delta_indices(alg, sig, elements) -> dict:
+    """Each element's delta-index: the least k with delta^k(x) equal to
+    delta^(k+1)(x), or None where the delta orbit cycles without a fixed
+    point.  An injective homomorphism preserves it exactly."""
+    index = {}
+    for x in elements:
+        path = []
+        y = x
+        while y not in index and y not in path:
+            path.append(y)
+            y = sig.delta(alg, y)
+        if y in index:
+            k = index[y]
+        else:
+            k = -1 if y == path[-1] else None
+        for y in reversed(path):
+            k = None if k is None else k + 1
+            index[y] = k
+    return index
+
+
+class SearchPlan(NamedTuple):
+    """The half of ``search_hom`` that depends on the source alone."""
+
+    order: tuple          # a's elements in rank order
+    consts: tuple         # (position, constant attribute)
+    delta_index: tuple    # per position
+    binary: tuple         # per position: ((method, ((px, py, pr), ...)), ...)
+    unary: tuple          # per position: ((method, ((px, pr), ...)), ...)
+
+
+def _search_plan(a, sig) -> SearchPlan:
+    """Compile a for searches in ``sig``: built on first use and kept in
+    a's ``_plans`` under the signature's tag, where a has that dict.
+
+    Each table entry x*y = r of a is watched at the position that places
+    the last of x, y and r, grouped by operation.
+    """
+    plans = getattr(a, "_plans", None)
+    plan = plans.get(sig.tag) if plans is not None else None
+    if plan is not None:
+        return plan
+    sig.require(a)
+    order = _rank_order(a)
+    n = len(order)
+    pos = {e: k for k, e in enumerate(order)}
+    binary = [[] for _ in range(n)]
+    for _, meth in sig.binary:
+        fa = getattr(a, meth)
+        watch = [[] for _ in range(n)]
+        for px, x in enumerate(order):
+            for py, y in enumerate(order):
+                pr = pos[fa(x, y)]
+                watch[max(px, py, pr)].append((px, py, pr))
+        for level, entries in zip(binary, watch):
+            if entries:
+                level.append((meth, tuple(entries)))
+    unary = [[] for _ in range(n)]
+    for _, meth in sig.unary:
+        fa = getattr(a, meth)
+        watch = [[] for _ in range(n)]
+        for px, x in enumerate(order):
+            pr = pos[fa(x)]
+            watch[max(px, pr)].append((px, pr))
+        for level, entries in zip(unary, watch):
+            if entries:
+                level.append((meth, tuple(entries)))
+    index = _delta_indices(a, sig, order)
+    plan = SearchPlan(tuple(order),
+                      tuple((pos[getattr(a, c)], c) for c in sig.consts),
+                      tuple(index[e] for e in order),
+                      tuple(map(tuple, binary)), tuple(map(tuple, unary)))
+    if plans is not None:
+        plans[sig.tag] = plan
+    return plan
+
+
+def _injective_domains(plan, forced, b, sig, b_elems):
+    """Candidate values per position for an embedding, or None when the
+    delta-indices show that there is none: a constant's value has another
+    index than the constant, or some index has more free positions in a
+    than free values in b.
+
+    A position takes only values of b with its own delta-index, and a
+    position without a constant never takes a constant's value.  Both
+    filters drop only values that lie in no embedding and keep b's order.
+    """
+    index = _delta_indices(b, sig, b_elems)
+    taken = set(forced.values())
+    free = {}
+    for v in b_elems:
+        if v not in taken:
+            free.setdefault(index[v], []).append(v)
+    need = {}
+    cands = []
+    for k, i in enumerate(plan.delta_index):
+        if k in forced:
+            if index.get(forced[k]) != i:
+                return None
+            cands.append((forced[k],))
+        else:
+            need[i] = need.get(i, 0) + 1
+            cands.append(free.get(i, ()))
+    if any(len(free.get(i, ())) < c for i, c in need.items()):
+        return None
+    return cands
+
+
+def search_hom(a, b, sig, require_injective: bool):
     """Backtracking search for an operation-preserving map a -> b.
 
     Elements of a are placed in lattice-rank order and tried against the
     elements of b in order.  Each table entry x*y = r of a is checked
     once, at the node that places the last of x, y and r; the meet entries
-    cover order preservation.  Pruning only drops values that fail an
-    entry, so the first map found does not depend on when entries are
-    checked.  b's operations are evaluated on demand, not tabulated: a
-    search visits few nodes.
-    ``forbid`` is an optional (element, value) pair to exclude, used for
-    the diagram-style separation condition.
+    cover order preservation.  The rank order, the entries to check at
+    each position and a's delta-indices form a's plan (``_search_plan``),
+    compiled once per source and signature.  An injective search also
+    narrows each position's values by delta-index and keeps the
+    constants' values for the constants (``_injective_domains``).
+    Pruning only drops values that lie in no solution, so the first map
+    found does not depend on when entries are checked or on the filters.
+    b's operations are bound once per call and evaluated on demand, not
+    tabulated: a search visits few nodes.
     """
     sig = get_signature(sig)
-    sig.require(a)
+    plan = _search_plan(a, sig)
     sig.require(b)
-    a_elems = _rank_order(a)
-    n = len(a_elems)
-    pos = {e: k for k, e in enumerate(a_elems)}
+    n = len(plan.order)
     forced = {}
-    for c in sig.consts:
-        k, v = pos[getattr(a, c)], getattr(b, c)
+    for k, c in plan.consts:
+        v = getattr(b, c)
         if forced.setdefault(k, v) != v:
             return None
     b_elems = list(b.elements)
-    cands = [[forced[k]] if k in forced else b_elems for k in range(n)]
-    binary = [[] for _ in range(n)]
-    for _, meth in sig.binary:
-        fa, fb = getattr(a, meth), getattr(b, meth)
-        for x in a_elems:
-            for y in a_elems:
-                px, py, pr = pos[x], pos[y], pos[fa(x, y)]
-                binary[max(px, py, pr)].append((fb, px, py, pr))
-    unary = [[] for _ in range(n)]
-    for _, meth in sig.unary:
-        fa, fb = getattr(a, meth), getattr(b, meth)
-        for x in a_elems:
-            px, pr = pos[x], pos[fa(x)]
-            unary[max(px, pr)].append((fb, px, pr))
-    forbid_at, forbid_v = ((pos[forbid[0]], forbid[1]) if forbid is not None
-                           else (-1, None))
+    if require_injective:
+        cands = _injective_domains(plan, forced, b, sig, b_elems)
+        if cands is None:
+            return None
+    else:
+        cands = [(forced[k],) if k in forced else b_elems for k in range(n)]
+    ops = {m: getattr(b, m) for _, m in sig.binary + sig.unary}
+    binary = [[(ops[m], es) for m, es in level] for level in plan.binary]
+    unary = [[(ops[m], es) for m, es in level] for level in plan.unary]
     values = [None] * n
     next_try = [0] * n
     used = set()
@@ -292,8 +396,6 @@ def search_hom(a, b, sig, require_injective: bool,
             v = row[i]
             i += 1
             if require_injective and v in used:
-                continue
-            if k == forbid_at and v == forbid_v:
                 continue
             values[k] = v
             if _entries_hold(values, binary[k], unary[k]):
@@ -311,16 +413,18 @@ def search_hom(a, b, sig, require_injective: bool,
         k += 1
         if k < n:
             next_try[k] = 0
-    return dict(zip(a_elems, values))
+    return dict(zip(plan.order, values))
 
 
 def _entries_hold(values, binary, unary) -> bool:
-    for fb, px, py, pr in binary:
-        if fb(values[px], values[py]) != values[pr]:
-            return False
-    for fb, px, pr in unary:
-        if fb(values[px]) != values[pr]:
-            return False
+    for fb, entries in binary:
+        for px, py, pr in entries:
+            if fb(values[px], values[py]) != values[pr]:
+                return False
+    for fb, entries in unary:
+        for px, pr in entries:
+            if fb(values[px]) != values[pr]:
+                return False
     return True
 
 
@@ -335,15 +439,18 @@ def embedding_by_diagram(a, b, sig):
     """Assignment making the diagram of a evaluate to 1 while keeping the
     monolith-bottom variable away from 1, or None.
 
-    Every conjunct must individually reach 1, so the search is a
-    homomorphism search with one value constraint.
+    Every conjunct must individually reach 1, so the assignment is a
+    homomorphism that keeps a's monolith bottom away from 1.  Such a
+    homomorphism out of an SI algebra has a trivial kernel, and an
+    injective one sends the monolith bottom away from h(1) = 1, so the
+    search is the embedding search; it tries values in the same order
+    and finds the same map.
     """
     sig = get_signature(sig)
     info = si_structure(a, sig)
     if not info.is_si:
         raise NotSI("diagram criterion needs an SI source")
-    hom = search_hom(a, b, sig, require_injective=False,
-                     forbid=(info.mu_bottom, b.one))
+    hom = search_hom(a, b, sig, require_injective=True)
     if hom is None:
         return None
     d = build_diagram(a, sig)

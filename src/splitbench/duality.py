@@ -21,10 +21,11 @@ class UpSetAlgebra:
 
     Elements are up-set bitmasks.  The operations are total and follow
     the down-/up-closure formulas of the finite duality; ``elements`` is
-    only materialised on demand since carriers can be large.
+    only materialised on demand since carriers can be large.  ``_plans``
+    holds the compiled embedding-search plans of the algebra as a source.
     """
 
-    __slots__ = ("base", "one", "_elements", "_index")
+    __slots__ = ("base", "one", "_elements", "_index", "_plans")
 
     zero = bottom = 0
 
@@ -33,6 +34,7 @@ class UpSetAlgebra:
         self.one = base.all_mask
         self._elements = None
         self._index = None
+        self._plans = {}
 
     # -- carrier ---------------------------------------------------------
 

@@ -56,11 +56,12 @@ class FinPoset:
     elements <= i; both include i itself.  ``up_mask`` and ``down_mask``
     read per-byte tables of these rows, built on their first call, and
     raise RangeError on a mask with bits outside the carrier (a negative
-    mask included).
+    mask included).  The masks of minimal and maximal elements are
+    computed once, with the relation.
     """
 
     __slots__ = ("size", "up", "down", "all_mask", "_up_tables",
-                 "_down_tables")
+                 "_down_tables", "_minimals", "_maximals")
 
     def __init__(self, up_rows):
         up = tuple(up_rows)
@@ -79,6 +80,8 @@ class FinPoset:
         self.down = tuple(down)
         self.all_mask = full
         self._up_tables = self._down_tables = None
+        self._minimals = sum(1 << i for i in range(n) if down[i] == 1 << i)
+        self._maximals = sum(1 << i for i in range(n) if up[i] == 1 << i)
         self._check_order()
 
     def _check_order(self):
@@ -123,12 +126,10 @@ class FinPoset:
         return out
 
     def minimals(self) -> int:
-        return sum(1 << i for i in range(self.size)
-                   if self.down[i] == 1 << i)
+        return self._minimals
 
     def maximals(self) -> int:
-        return sum(1 << i for i in range(self.size)
-                   if self.up[i] == 1 << i)
+        return self._maximals
 
     def covers(self) -> list[tuple[int, int]]:
         """All pairs (a, b) with a covered by b, bottom up: sorted by the

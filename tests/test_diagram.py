@@ -103,11 +103,14 @@ def test_diagram_embedding_agreement_hplus_small_pairs():
 
 
 def test_search_hom_matches_rescanning_oracle():
-    # same placement order, so the watch-listed search must return the
-    # identical first map, injective and with the diagram's forbid pair
+    # same placement order, so the planned and filtered search must return
+    # the identical first map, and the diagram's injective search the
+    # oracle's first homomorphism that keeps the monolith bottom off 1
     si = [c for lat in all_lattices(5) for c in enumerate_cirls(lat)
           if monolith_info(c).is_si]
     cases = [(a, b, CIRL) for a in si for b in si]
+    chains = [wajsberg_hoop(n) for n in range(2, 9)]
+    cases += [(a, b, CIRL) for a in chains for b in chains]
     sources = [up_set_algebra(p)
                for p in all_posets(3, connected_only=True, dedupe=True)]
     targets = [up_set_algebra(p) for p in all_posets(4, dedupe=True)]
@@ -118,11 +121,15 @@ def test_search_hom_matches_rescanning_oracle():
         got = search_hom(a, b, sig, require_injective=True)
         assert got == oracle_search_hom(a, b, sig, require_injective=True)
         forbid = (si_structure(a, sig).mu_bottom, b.one)
-        hom = search_hom(a, b, sig, require_injective=False, forbid=forbid)
-        assert hom == oracle_search_hom(a, b, sig, require_injective=False,
-                                        forbid=forbid)
+        hom = oracle_search_hom(a, b, sig, require_injective=False,
+                                forbid=forbid)
+        asg = embedding_by_diagram(a, b, sig)
+        if hom is None:
+            assert asg is None
+        else:
+            assert asg.values == tuple(hom[e] for e in a.elements)
         found += got is not None
-    assert len(cases) == 35 * 35 + 2 * 5 * 24 and found
+    assert len(cases) == 35 * 35 + 7 * 7 + 2 * 5 * 24 and found
 
 
 def test_delta_power_monotone_in_i():
