@@ -275,13 +275,12 @@ class SearchPlan(NamedTuple):
 
 def _search_plan(a, sig) -> SearchPlan:
     """Compile a for searches in ``sig``: built on first use and kept in
-    a's ``_plans`` under the signature's tag, where a has that dict.
+    a's ``_plans`` under the signature's tag.
 
     Each table entry x*y = r of a is watched at the position that places
     the last of x, y and r, grouped by operation.
     """
-    plans = getattr(a, "_plans", None)
-    plan = plans.get(sig.tag) if plans is not None else None
+    plan = a._plans.get(sig.tag)
     if plan is not None:
         return plan
     sig.require(a)
@@ -314,8 +313,7 @@ def _search_plan(a, sig) -> SearchPlan:
                       tuple((pos[getattr(a, c)], c) for c in sig.consts),
                       tuple(index[e] for e in order),
                       tuple(map(tuple, binary)), tuple(map(tuple, unary)))
-    if plans is not None:
-        plans[sig.tag] = plan
+    a._plans[sig.tag] = plan
     return plan
 
 
@@ -350,21 +348,22 @@ def _injective_domains(plan, forced, b, sig, b_elems):
     return cands
 
 
-def search_hom(a, b, sig, require_injective: bool):
-    """Backtracking search for an operation-preserving map a -> b.
+def search_hom(a, b, sig):
+    """Backtracking search for an injective operation-preserving map
+    a -> b, or None.
 
     Elements of a are placed in lattice-rank order and tried against the
     elements of b in order.  Each table entry x*y = r of a is checked
     once, at the node that places the last of x, y and r; the meet entries
     cover order preservation.  The rank order, the entries to check at
     each position and a's delta-indices form a's plan (``_search_plan``),
-    compiled once per source and signature.  An injective search also
-    narrows each position's values by delta-index and keeps the
-    constants' values for the constants (``_injective_domains``).
-    Pruning only drops values that lie in no solution, so the first map
-    found does not depend on when entries are checked or on the filters.
-    b's operations are bound once per call and evaluated on demand, not
-    tabulated: a search visits few nodes.
+    compiled once per source and signature.  Each position's values are
+    narrowed by delta-index, and the constants' values are kept for the
+    constants (``_injective_domains``); b's delta-indices are computed
+    once per call.  Pruning only drops values that lie in no solution, so
+    the first map found does not depend on when entries are checked or on
+    the filters.  b's operations are bound once per call and otherwise
+    evaluated on demand, not tabulated: a search visits few nodes.
     """
     sig = get_signature(sig)
     plan = _search_plan(a, sig)
@@ -376,12 +375,9 @@ def search_hom(a, b, sig, require_injective: bool):
         if forced.setdefault(k, v) != v:
             return None
     b_elems = list(b.elements)
-    if require_injective:
-        cands = _injective_domains(plan, forced, b, sig, b_elems)
-        if cands is None:
-            return None
-    else:
-        cands = [(forced[k],) if k in forced else b_elems for k in range(n)]
+    cands = _injective_domains(plan, forced, b, sig, b_elems)
+    if cands is None:
+        return None
     ops = {m: getattr(b, m) for _, m in sig.binary + sig.unary}
     binary = [[(ops[m], es) for m, es in level] for level in plan.binary]
     unary = [[(ops[m], es) for m, es in level] for level in plan.unary]
@@ -395,7 +391,7 @@ def search_hom(a, b, sig, require_injective: bool):
         while i < len(row):
             v = row[i]
             i += 1
-            if require_injective and v in used:
+            if v in used:
                 continue
             values[k] = v
             if _entries_hold(values, binary[k], unary[k]):
@@ -408,8 +404,7 @@ def search_hom(a, b, sig, require_injective: bool):
             used.discard(values[k])
             continue
         next_try[k] = i
-        if require_injective:
-            used.add(v)
+        used.add(v)
         k += 1
         if k < n:
             next_try[k] = 0
@@ -432,7 +427,7 @@ def search_embedding(a, b, sig):
     """Injective operation-preserving map, or None."""
     if len(list(a.elements)) > len(list(b.elements)):
         return None
-    return search_hom(a, b, sig, require_injective=True)
+    return search_hom(a, b, sig)
 
 
 def embedding_by_diagram(a, b, sig):
@@ -450,7 +445,7 @@ def embedding_by_diagram(a, b, sig):
     info = si_structure(a, sig)
     if not info.is_si:
         raise NotSI("diagram criterion needs an SI source")
-    hom = search_hom(a, b, sig, require_injective=True)
+    hom = search_hom(a, b, sig)
     if hom is None:
         return None
     d = build_diagram(a, sig)
