@@ -493,18 +493,25 @@ def delta_power_witness(a, b, i: int, sig, candidates=()):
 def in_hs(a, b, sig) -> bool:
     """True iff a embeds into some quotient of b.
 
-    For the order signatures b is dualized once: the congruence of the
-    filter above a delta-fixed up-set G identifies U and V iff
-    U & G == V & G, so the quotient is Up(G) (Priestley 1975).
+    For CIRLs a quotient is built only when its congruence has at least
+    as many classes as a has elements, and the filter {1}, the identity
+    congruence, gives b itself.  For the order signatures b is dualized
+    once: the congruence of the filter above a delta-fixed up-set G
+    identifies U and V iff U & G == V & G, so the quotient is Up(G)
+    (Priestley 1975), and G = X gives b itself.
     """
     sig = get_signature(sig)
     a_n = len(list(a.elements))
     if sig.tag == "cirl":
-        from .residuated import congruence_filters, quotient
+        from .residuated import (congruence_classes, congruence_filters,
+                                 quotient)
 
         for f in congruence_filters(b):
-            q = quotient(b, f).algebra
-            if a_n <= q.size and search_embedding(a, q, sig) is not None:
+            k = len(congruence_classes(b, f)[0])
+            if k < a_n:
+                continue
+            q = b if k == b.size else quotient(b, f).algebra
+            if search_embedding(a, q, sig) is not None:
                 return True
         return False
     from .duality import _as_up_set_algebra, up_set_algebra
@@ -514,7 +521,7 @@ def in_hs(a, b, sig) -> bool:
     b = _as_up_set_algebra(b)
     fixed = [g for g in b.elements if g and sig.delta(b, g) == g]
     for g in sorted(fixed, key=popcount, reverse=True):
-        q = up_set_algebra(b.base.restrict(g)[0])
+        q = b if g == b.one else up_set_algebra(b.base.restrict(g)[0])
         if a_n <= q.size and search_embedding(a, q, sig) is not None:
             return True
     return False

@@ -6,6 +6,7 @@ lattice through the Galois closure of a nuclear relation.
 """
 
 from dataclasses import dataclass
+from operator import or_
 
 from .errors import AxiomError, BadParameter, NotSI, SizeError
 from .lattice import FinLattice
@@ -170,14 +171,17 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
             if expect is None or lat.meet[i][j] != expect:
                 raise AxiomError("meet of closed sets is not intersection")
 
-    mul = [[0] * n for _ in range(n)]
-    for i, mi in enumerate(closed):
-        for j, mj in enumerate(closed):
-            prod = 0
-            for x in bits(mi):
-                for y in bits(mj):
-                    prod |= 1 << mon.mul[x][y]
-            mul[i][j] = index[gamma_closure(frame, prod)]
+    # images[x][j] is the image of closed set j under x's row (a sum of
+    # distinct bits), so the elementwise product of i and j is the union
+    # of images[x][j] over x in i
+    images = [[sum({1 << row[y] for y in bits(mj)}) for mj in closed]
+              for row in mon.mul]
+    mul = []
+    for mi in closed:
+        prods = [0] * n
+        for x in bits(mi):
+            prods = list(map(or_, prods, images[x]))
+        mul.append([index[gamma_closure(frame, p)] for p in prods])
     alg = validate_cirl(lat, mul, derive_arrow(lat, mul))
     if closed[alg.one] != gamma_closure(frame, 1 << base.one):
         raise AxiomError("unit of the closure algebra is not gamma(1)")

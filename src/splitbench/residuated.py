@@ -52,14 +52,37 @@ class CIRLTable(TableAlgebra):
         return [x for x in range(self.size) if self.mul[x][x] == x]
 
 
+def generators(up, mul, one: int) -> list[int]:
+    """The elements other than ``one`` that are not the product of two
+    elements strictly above them, on the order whose rows are ``up``.
+
+    With ``one`` they generate the table under ``mul``: by induction from
+    the top of the finite order, an element outside them is the product
+    of two elements above it, which are generated.  No monoid law is
+    used, but ``mul`` must be commutative: the scan reads each unordered
+    pair once.
+    """
+    products = 0
+    for u, row in enumerate(mul):
+        for v in range(u, len(row)):
+            w = row[v]
+            if w != u and w != v and up[w] >> u & 1 and up[w] >> v & 1:
+                products |= 1 << w
+    return [g for g in range(len(up)) if g != one and not products >> g & 1]
+
+
 def check_monoid(up, covers, mul, one: int) -> None:
     """Unit, commutativity, associativity and monotonicity of ``mul`` on
     the order whose rows are ``up`` and whose cover pairs are ``covers``,
     naming the first failure with a witness.
 
-    Associativity compares whole rows, and monotonicity reads only the
-    cover pairs, since the order is transitive.  At the first x where
-    either law fails, the (y, z) scan names the first failing triple.
+    Associativity is Light's test (Clifford & Preston, The Algebraic
+    Theory of Semigroups I, 1961, section 1.2): (x*g)*y = x*(g*y) for all
+    x, y and each g of a generating set, here ``generators`` (the unit
+    law covers ``one``), compared as whole rows.  Monotonicity reads only
+    the cover pairs, since the order is transitive.  If either law fails,
+    the first x whose rows break one is found by comparing the rows of
+    every (x, y), and the (y, z) scan names the first failing triple.
     """
     n = len(up)
     for x in range(n):
@@ -71,9 +94,14 @@ def check_monoid(up, covers, mul, one: int) -> None:
             for y in range(n):
                 if mx[y] != mul[y][x]:
                     raise AxiomError(f"commutativity fails at ({x},{y})")
-    for x in range(n):
-        mx = mul[x]
-        up_mx = [up[v] for v in mx]
+    # the up rows of the products, row by row
+    ups = [[up[v] for v in mx] for mx in mul]
+    if all(mul[mx[g]] == list(map(mx.__getitem__, mul[g]))
+           for g in generators(up, mul, one) for mx in mul) and \
+            all(up_mx[y] >> mx[z] & 1
+                for mx, up_mx in zip(mul, ups) for y, z in covers):
+        return
+    for x, (mx, up_mx) in enumerate(zip(mul, ups)):
         if all(mul[v] == list(map(mx.__getitem__, my))
                for v, my in zip(mx, mul)) and \
                 all(up_mx[y] >> mx[z] & 1 for y, z in covers):
@@ -310,12 +338,11 @@ class Quotient:
     projection: list[int] = field(default_factory=list)
 
 
-def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
-    """Quotient by the congruence of a filter, with the projection map.
+def congruence_classes(alg: CIRLTable, filter_mask: int):
+    """The classes of a filter's congruence: a representative of each,
+    the first of its elements, and each element's class index.
 
-    x and y are identified iff x -> y and y -> x lie in the filter, and
-    the class of x is below the class of y iff x -> y does: (x | y) -> y
-    is x -> y, and y -> (x | y) is 1.
+    x and y are identified iff x -> y and y -> x lie in the filter.
     """
     lat = alg.lattice
     # a congruence filter is up[g] for an idempotent g, its meet
@@ -334,6 +361,18 @@ def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
         else:
             proj[x] = len(reps)
             reps.append(x)
+    return reps, proj
+
+
+def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
+    """Quotient by the congruence of a filter, with the projection map.
+
+    The classes are ``congruence_classes``; the class of x is below the
+    class of y iff x -> y lies in the filter: (x | y) -> y is x -> y, and
+    y -> (x | y) is 1.
+    """
+    reps, proj = congruence_classes(alg, filter_mask)
+    res = alg.arrow
     rows = [sum(1 << k for k, r in enumerate(reps)
                 if filter_mask >> res[x][r] & 1) for x in reps]
     mul = [[proj[alg.mul[x][y]] for y in reps] for x in reps]

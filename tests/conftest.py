@@ -231,11 +231,12 @@ def oracle_monolith_info(alg: CIRLTable) -> MonolithInfo:
 
 
 def oracle_in_hs(a, b, sig) -> bool:
-    """HS membership through table quotients of b, for hplus/dheyting.
+    """HS membership through table quotients of b, in every diagram
+    signature.
 
-    Each delta-fixed element g gives the congruence x ~ y iff
-    g <= iff(x, y); the quotient is built as operation tables on the
-    classes and searched for an embedding of a.
+    Each delta-fixed element g (for cirl, each idempotent) gives the
+    congruence x ~ y iff g <= iff(x, y); the quotient is built as
+    operation tables on the classes and searched for an embedding of a.
     """
     from splitbench.diagram import (TableAlgebra, get_signature,
                                     search_embedding)
@@ -375,6 +376,28 @@ def oracle_validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:
                 if leq(mul[x][z], y) != leq(z, arrow[x][y]):
                     raise AxiomError(f"residuation fails at ({x},{y},{z})")
     return CIRLTable(lattice, mul, arrow)
+
+
+def oracle_monoid_laws(lattice: FinLattice, mul) -> None:
+    """The monoid laws of ``oracle_validate_cirl``, in its order and
+    through ``leq``, without residuation."""
+    n = lattice.size
+    one = lattice.one
+    leq = lattice.leq
+    for x in range(n):
+        if mul[x][one] != x or mul[one][x] != x:
+            raise AxiomError(f"unit law fails at x={x}")
+    for x in range(n):
+        for y in range(n):
+            if mul[x][y] != mul[y][x]:
+                raise AxiomError(f"commutativity fails at ({x},{y})")
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    raise AxiomError(f"associativity fails at ({x},{y},{z})")
+                if leq(y, z) and not leq(mul[x][y], mul[x][z]):
+                    raise AxiomError(f"monotonicity fails at ({x},{y},{z})")
 
 
 def oracle_lattice_tables(poset: FinPoset):

@@ -132,6 +132,26 @@ def test_search_hom_matches_rescanning_oracle():
     assert len(cases) == 35 * 35 + 7 * 7 + 2 * 5 * 24 and found
 
 
+def _trivial_hplus():
+    # zero == one: the one-element hplus algebra
+    return algebra_from_json({"kind": "hplus", "size": 1, "meet": [[0]],
+                              "join": [[0]], "arrow": [[0]], "dpc": [0],
+                              "zero": 0, "one": 0})
+
+
+def test_search_hom_is_injective():
+    # both elements of Up(1 point) are constants, and the one-element
+    # target sends both constants to its one element: a homomorphism
+    # that only the injectivity check refuses
+    point = up_set_algebra(build_poset(1, []))
+    trivial = _trivial_hplus()
+    assert oracle_search_hom(point, trivial, HPLUS,
+                             require_injective=False) == {0: 0, 1: 0}
+    assert search_hom(point, trivial, HPLUS) is None
+    assert oracle_search_hom(point, trivial, HPLUS,
+                             require_injective=True) is None
+
+
 def test_delta_power_monotone_in_i():
     c3 = wajsberg_hoop(3)
     c9 = wajsberg_hoop(9)
@@ -184,9 +204,7 @@ def test_in_hs_hplus():
     assert in_hs(three, f4, HPLUS)
     assert not in_hs(f4, three, HPLUS)
     # the one-element algebra is the quotient by the total congruence
-    trivial = algebra_from_json({"kind": "hplus", "size": 1, "meet": [[0]],
-                                 "join": [[0]], "arrow": [[0]], "dpc": [0],
-                                 "zero": 0, "one": 0})
+    trivial = _trivial_hplus()
     assert in_hs(trivial, f4, HPLUS) and oracle_in_hs(trivial, f4, HPLUS)
 
 

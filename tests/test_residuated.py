@@ -5,8 +5,8 @@ from functools import cache
 
 from conftest import (all_lattices, chain, enumerate_cirls, m3,
                       oracle_congruence_filters,
-                      oracle_derive_arrow, oracle_monolith_info,
-                      oracle_quotient,
+                      oracle_derive_arrow, oracle_in_hs, oracle_monoid_laws,
+                      oracle_monolith_info, oracle_quotient,
                       oracle_truncated_product, oracle_validate_cirl,
                       single_cell_mutations)
 from splitbench.cli import algebra_to_json
@@ -14,9 +14,10 @@ from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter, SizeError)
 from splitbench.lattice import FinLattice
 from splitbench.poset import bits, build_poset, popcount
-from splitbench.diagram import CIRL, search_embedding
+from splitbench.diagram import CIRL, in_hs, search_embedding
 from splitbench import residuated
-from splitbench.residuated import (congruence_filters, derive_arrow,
+from splitbench.residuated import (check_monoid, congruence_filters,
+                                   derive_arrow, generators,
                                    is_isomorphic,
                                    monolith_info, quotient,
                                    truncated_product, validate_cirl,
@@ -54,26 +55,32 @@ def _cirl_law_fails(message, lat, mul, arrow) -> bool:
     return lat.leq(mul[x][z], y) != lat.leq(z, arrow[x][y])
 
 
-def test_cirl_laws_match_oracle():
-    # every single-cell mutation of mul and arrow, over the CIRLs on the
-    # lattices of 2..5 elements and the chain hoops C2..C6
-    def outcome(check, lat, mul, arrow):
-        try:
-            check(lat, mul, arrow)
-        except AxiomError as exc:
-            return str(exc)
-        return None
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except AxiomError as exc:
+        return str(exc)
+    return None
 
+
+@cache
+def _law_family():
+    # the CIRLs on the lattices of 2..5 elements and the chain hoops C2..C6
     algebras = [c for lat in all_lattices(5) if lat.size > 1
                 for c in enumerate_cirls(lat)]
-    algebras += [wajsberg_hoop(n) for n in range(2, 7)]
+    return algebras + [wajsberg_hoop(n) for n in range(2, 7)]
+
+
+def test_cirl_laws_match_oracle():
+    # every single-cell mutation of mul and arrow, over the law family
+    algebras = _law_family()
     cases = failing = reordered = 0
     for a in algebras:
         for obj in single_cell_mutations(algebra_to_json(a, "cirl"),
                                          ("mul", "arrow")):
             lat, mul, arrow = a.lattice, obj["mul"], obj["arrow"]
-            got = outcome(validate_cirl, lat, mul, arrow)
-            want = outcome(oracle_validate_cirl, lat, mul, arrow)
+            got = _outcome(validate_cirl, lat, mul, arrow)
+            want = _outcome(oracle_validate_cirl, lat, mul, arrow)
             cases += 1
             failing += want is not None
             if got == want:
@@ -88,6 +95,35 @@ def test_cirl_laws_match_oracle():
     # here no single changed cell leaves a CIRL, so both reject every case
     assert (len(algebras), cases, failing) == (42, 6852, 6852)
     assert 0 < reordered < cases
+
+
+def test_monoid_laws_match_oracle_on_symmetric_mutations():
+    # a single changed cell mostly breaks commutativity first; changing
+    # mul[x][y] and mul[y][x] together keeps it, so these tables reach
+    # Light's associativity test, and most of them are not associative
+    laws = {}
+    for a in _law_family():
+        lat, n = a.lattice, a.size
+        up, covers = lat.poset.up, lat.poset.covers()
+        for x in range(n):
+            for y in range(x + 1, n):
+                for v in range(n):
+                    if v == a.mul[x][y]:
+                        continue
+                    mul = [list(row) for row in a.mul]
+                    mul[x][y] = mul[y][x] = v
+                    got = _outcome(check_monoid, up, covers, mul, lat.one)
+                    assert got == _outcome(oracle_monoid_laws, lat, mul), \
+                        (got, x, y, v)
+                    law = got and got.split(" fails")[0]
+                    laws[law] = laws.get(law, 0) + 1
+    # 733 of the 800 that keep the unit are not associative
+    assert laws == {None: 19, "unit law": 559, "associativity": 681,
+                    "monotonicity": 100}
+    # the chain hoops: the unit and the coatom generate
+    for n in range(2, 9):
+        c = wajsberg_hoop(n)
+        assert generators(c.lattice.poset.up, c.mul, c.one) == [1]
 
 
 def test_cirl_laws_match_oracle_past_size_six():
@@ -164,6 +200,23 @@ def test_quotient_matches_oracle():
                 with pytest.raises(NotACongruenceFilter,
                                    match=f"^mask {mask:b}$"):
                     build(alg, mask)
+
+
+def test_cirl_in_hs_matches_table_quotient_oracle():
+    # in_hs skips the quotients with fewer classes than a has elements
+    # and searches b itself for the filter {1}; the oracle builds and
+    # searches every quotient of b
+    hoops = [wajsberg_hoop(n) for n in range(2, 6)]
+    targets = [truncated_product(a, b) for a in hoops for b in hoops]
+    targets += _si_family()
+    cases = found = 0
+    for b in targets:
+        for a in _si_family():
+            got = in_hs(a, b, CIRL)
+            assert got == oracle_in_hs(a, b, CIRL), (a.mul, b.mul)
+            cases += 1
+            found += got
+    assert (cases, found) == (2240, 276)
 
 
 def test_congruence_filters_match_oracle():
