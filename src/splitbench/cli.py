@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import diagram as diagram_mod
 from . import duality, filtration, hplus_witness, residuated
@@ -226,12 +227,7 @@ def _cmd_analyze(args):
     if obj["kind"] == "dp":
         rep = duality.varlet_report(alg)
         _emit({"schema": SCHEMA, "command": "analyze", "kind": "dp",
-               "size": alg.size,
-               "regular": rep.regular,
-               "determined_by_pcs": rep.determined_by_pcs,
-               "height_at_most_one": rep.height_at_most_one,
-               "distributive_identity": rep.distributive_identity,
-               "all_agree": rep.all_agree})
+               "size": alg.size, **asdict(rep), "all_agree": rep.all_agree})
         return 0
     sig = diagram_mod.SIGNATURES.get(obj["kind"])
     out = {"schema": SCHEMA, "command": "analyze", "kind": obj["kind"],
@@ -336,11 +332,7 @@ def _cmd_witness(args):
     rep = diagram_mod.witness_suite(alg, args.imax, sig)
     out = {"schema": SCHEMA, "command": "witness", "sig": rep.tag,
            "a_size": rep.a_size, "exempt": rep.exempt, "note": rep.note,
-           "entries": [
-               {"i": e.i, "b_size": e.b_size,
-                "delta_witness_found": e.delta_witness_found,
-                "excluded": e.excluded, "detail": e.detail}
-               for e in rep.entries]}
+           "entries": [asdict(e) for e in rep.entries]}
     _emit(out)
     ok = rep.exempt or all(
         e.delta_witness_found and e.excluded in (True, None)

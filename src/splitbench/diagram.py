@@ -12,12 +12,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
-from .poset import FinPoset, bits, popcount
+from .poset import DoublePointedPoset, FinPoset, bits, popcount
 
 ASSIGNMENT_CAP = 2_000_000
-# building and checking a truncated product grows about cubically with
-# its size; past this size it is refused (2651 elements ran for minutes)
-PRODUCT_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -277,42 +274,35 @@ def _search_plan(a, sig) -> SearchPlan:
     """Compile a for searches in ``sig``: built on first use and kept in
     a's ``_plans`` under the signature's tag.
 
-    Each table entry x*y = r of a is watched at the position that places
-    the last of x, y and r, grouped by operation.
+    The conjuncts of a's term diagram are re-indexed into rank order, and
+    each table entry x*y = r is watched at the position that places the
+    last of x, y and r, grouped by operation.
     """
     plan = a._plans.get(sig.tag)
     if plan is not None:
         return plan
-    sig.require(a)
+    d = build_diagram(a, sig)
     order = _rank_order(a)
     n = len(order)
     pos = {e: k for k, e in enumerate(order)}
-    binary = [[] for _ in range(n)]
-    for _, meth in sig.binary:
-        fa = getattr(a, meth)
-        watch = [[] for _ in range(n)]
-        for px, x in enumerate(order):
-            for py, y in enumerate(order):
-                pr = pos[fa(x, y)]
-                watch[max(px, py, pr)].append((px, py, pr))
-        for level, entries in zip(binary, watch):
-            if entries:
-                level.append((meth, tuple(entries)))
-    unary = [[] for _ in range(n)]
-    for _, meth in sig.unary:
-        fa = getattr(a, meth)
-        watch = [[] for _ in range(n)]
-        for px, x in enumerate(order):
-            pr = pos[fa(x)]
-            watch[max(px, pr)].append((px, pr))
-        for level, entries in zip(unary, watch):
-            if entries:
-                level.append((meth, tuple(entries)))
+    rank = [pos[e] for e in d.variables]
+    watch = {m: [[] for _ in range(n)] for _, m in sig.binary + sig.unary}
+    for meth, args, res in d.conjuncts:
+        if len(args) == 2:
+            entry = (rank[args[0]], rank[args[1]], rank[res])
+        else:
+            entry = (rank[args[0]], rank[res])
+        watch[meth][max(entry)].append(entry)
+
+    def levels(ops):
+        return tuple(tuple((m, tuple(watch[m][k])) for _, m in ops
+                           if watch[m][k]) for k in range(n))
+
     index = _delta_indices(a, sig, order)
     plan = SearchPlan(tuple(order),
-                      tuple((pos[getattr(a, c)], c) for c in sig.consts),
+                      tuple((rank[p], c) for c, p in d.const_conjuncts),
                       tuple(index[e] for e in order),
-                      tuple(map(tuple, binary)), tuple(map(tuple, unary)))
+                      levels(sig.binary), levels(sig.unary))
     a._plans[sig.tag] = plan
     return plan
 
@@ -425,7 +415,7 @@ def _entries_hold(values, binary, unary) -> bool:
 
 def search_embedding(a, b, sig):
     """Injective operation-preserving map, or None."""
-    if len(list(a.elements)) > len(list(b.elements)):
+    if a.size > b.size:
         return None
     return search_hom(a, b, sig)
 
@@ -501,7 +491,7 @@ def in_hs(a, b, sig) -> bool:
     (Priestley 1975), and G = X gives b itself.
     """
     sig = get_signature(sig)
-    a_n = len(list(a.elements))
+    a_n = a.size
     if sig.tag == "cirl":
         from .residuated import (congruence_classes, congruence_filters,
                                  quotient)
@@ -675,8 +665,6 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
 
 def double_point(p: FinPoset):
     """Choose a minimal bot lying below a maximal top."""
-    from .poset import DoublePointedPoset
-
     mins = list(bits(p.minimals()))
     for b in mins:
         above = p.up[b] & p.maximals()

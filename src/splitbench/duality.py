@@ -152,9 +152,6 @@ class PosetMap:
             out |= 1 << self.values[i]
         return out
 
-    def is_surjective(self) -> bool:
-        return self.image_mask(self.source.all_mask) == self.target.all_mask
-
 
 @dataclass(frozen=True)
 class MapClass:

@@ -12,7 +12,8 @@ from .errors import AxiomError, BadParameter, NotSI, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, relation_rows
 from .residuated import (CIRLTable, MonolithInfo, check_monoid, derive_arrow,
-                         monolith_info, preimage_masks, validate_cirl)
+                         is_isomorphic, monolith_info, preimage_masks,
+                         quotient, validate_cirl)
 
 # each round roughly doubles the algebra, and building a round grows
 # steeply with its monoid's size; past this size the round is refused
@@ -237,8 +238,6 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
 def _check_monolith_restricts(prev: CIRLTable, prev_info, step: LpResult,
                               info) -> None:
     """Monolith filter of the expansion meets the base in the base's."""
-    from .residuated import is_isomorphic, quotient
-
     restricted = sorted(e for e in range(prev.size)
                         if info.mu_filter & (1 << step.embedding[e]))
     expected = sorted(bits(prev_info.mu_filter))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .duality import UpSetAlgebra
 from .errors import NotAnUpSet, PreconditionError
-from .poset import FinPoset, bits
+from .poset import FinPoset, bits, transitive_closure
 
 
 @dataclass
@@ -52,12 +52,7 @@ def filtrate(x: FinPoset, family) -> Filtrate:
     for a in range(x.size):
         for b in bits(x.up[a]):
             rows[class_of[a]] |= 1 << class_of[b]
-    for k in range(n):
-        kbit = 1 << k
-        for i in range(n):
-            if rows[i] & kbit:
-                rows[i] |= rows[k]
-    q = FinPoset(rows)
+    q = FinPoset(transitive_closure(rows))
     return Filtrate(x, family, class_of, classes, q, UpSetAlgebra(q))
 
 

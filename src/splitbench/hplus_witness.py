@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 from .diagram import (HPLUS, Assignment, build_diagram, eval_diagram,
                       get_signature)
-from .duality import UpSetAlgebra, never_maps_onto, up_set_algebra
+from .duality import (MORPHISM_BUDGET, UpSetAlgebra, never_maps_onto,
+                      up_set_algebra)
 from .errors import AxiomError, BadParameter
 from .poset import (DoublePointedPoset, FinPoset, bits, build_poset,
                     find_tails, is_connected, is_fence, popcount, power_chain,
@@ -246,11 +247,10 @@ def fence_for_target(x: DoublePointedPoset) -> FenceChoice:
 
 
 def never_maps_onto_check(x: DoublePointedPoset, fence, i: int,
-                          budget: int | None = None) -> bool:
+                          budget: int = MORPHISM_BUDGET) -> bool:
     """No surjection of the glued chain onto x exists."""
     if i < 1:
         raise BadParameter("at least one copy of x is needed")
     fdp = fence.poset if isinstance(fence, FenceChoice) else fence
     glued = searrow(power_chain(x, i), fdp)
-    kwargs = {} if budget is None else {"budget": budget}
-    return never_maps_onto(glued.poset, x.poset, **kwargs)
+    return never_maps_onto(glued.poset, x.poset, budget=budget)

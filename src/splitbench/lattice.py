@@ -5,7 +5,8 @@ splitting operations then work purely on the tables.
 """
 
 from .errors import MissingResidual, NotACover, NotALattice
-from .poset import FinPoset, bits, popcount, relation_rows
+from .poset import (DEFAULT_UPSET_CAP, FinPoset, bits, enumerate_up_sets,
+                    popcount, relation_rows)
 
 
 class FinLattice:
@@ -184,10 +185,9 @@ def splitting_from_cover(lat: FinLattice, a: int, b: int) -> tuple[int, int]:
     return c, d
 
 
-def up_set_lattice(p: FinPoset, cap: int | None = None) -> tuple[FinLattice, list[int]]:
+def up_set_lattice(p: FinPoset, cap: int = DEFAULT_UPSET_CAP
+                   ) -> tuple[FinLattice, list[int]]:
     """The lattice of up-sets of p, with the mask of each element."""
-    from .poset import DEFAULT_UPSET_CAP, enumerate_up_sets
-
-    masks = enumerate_up_sets(p, cap if cap is not None else DEFAULT_UPSET_CAP)
+    masks = enumerate_up_sets(p, cap)
     rows = relation_rows(len(masks), lambda i, j: not masks[i] & ~masks[j])
     return FinLattice(FinPoset(rows)), masks

@@ -197,12 +197,18 @@ def build_poset(size: int, raw_pairs) -> FinPoset:
         if not (0 <= i < size and 0 <= j < size):
             raise RangeError(f"pair ({i},{j}) out of range for size {size}")
         rows[i] |= 1 << j
-    for k in range(size):
+    return FinPoset(transitive_closure(rows))
+
+
+def transitive_closure(rows: list[int]) -> list[int]:
+    """Warshall's closure of relation rows, in place and uncapped."""
+    n = len(rows)
+    for k in range(n):
         kbit = 1 << k
-        for i in range(size):
+        for i in range(n):
             if rows[i] & kbit:
                 rows[i] |= rows[k]
-    return FinPoset(rows)
+    return rows
 
 
 class Closures(NamedTuple):

@@ -3,11 +3,14 @@ and the table laws of every algebra kind."""
 
 from dataclasses import dataclass, field
 
-from .diagram import (CIRL, PRODUCT_CAP, TableAlgebra, search_embedding,
-                      si_structure)
+from .diagram import CIRL, TableAlgebra, search_embedding, si_structure
 from .errors import AxiomError, BadParameter, NotACongruenceFilter, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, popcount, relation_rows
+
+# building and checking a truncated product grows about cubically with
+# its size; past this size it is refused (2651 elements ran for minutes)
+PRODUCT_CAP = 256
 
 
 class CIRLTable(TableAlgebra):
@@ -35,18 +38,20 @@ class CIRLTable(TableAlgebra):
             out = self.mul[out][a]
         return out
 
+    def power_index(self, a: int) -> int:
+        """Least n >= 1 with a^(n+1) = a^n."""
+        n, cur = 1, a
+        while self.mul[cur][a] != cur:
+            cur = self.mul[cur][a]
+            n += 1
+        return n
+
     def potency(self) -> int:
-        """Least n with x^(n+1) = x^n for all x."""
+        """Least n with x^(n+1) = x^n for all x: the largest power index,
+        0 on the one-element algebra."""
         if self.size == 1:
             return 0
-        n = 1
-        cur = list(range(self.size))
-        while True:
-            nxt = [self.mul[c][x] for x, c in enumerate(cur)]
-            if nxt == cur:
-                return n
-            cur = nxt
-            n += 1
+        return max(map(self.power_index, self.elements))
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.mul[x][x] == x]
@@ -268,16 +273,7 @@ def monolith_info(alg: CIRLTable) -> MonolithInfo:
     one, lat = alg.one, alg.lattice
     coatom = lat.join_all(lat.poset.all_mask & ~(1 << one))
     mu = lat.poset.up[si.mu_bottom]
-    depth = 0
-    for a in bits(mu):
-        if a == one:
-            continue
-        # least n with a^(n+1) = a^n; the loop counts strict power drops
-        k, cur = 1, a
-        while alg.mul[cur][a] != cur:
-            cur = alg.mul[cur][a]
-            k += 1
-        depth = max(depth, k)
+    depth = max(alg.power_index(a) for a in bits(mu) if a != one)
     return MonolithInfo(True, coatom, mu, si.mu_bottom, depth)
 
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import (all_lattices, all_posets, enumerate_cirls, oracle_in_hs,
                       oracle_monolith_info, oracle_search_hom)
 from splitbench.cli import algebra_from_json, upalgebra_to_json
 from splitbench.diagram import (CIRL, DHEYTING, HPLUS, KINDS, Assignment,
-                                TableAlgebra, build_diagram,
+                                TableAlgebra, _search_plan, build_diagram,
                                 delta_power_witness, embedding_by_diagram,
                                 eval_diagram, get_signature, in_hs,
                                 search_embedding, search_hom, si_structure,
@@ -130,6 +131,33 @@ def test_search_hom_matches_rescanning_oracle():
             assert asg.values == tuple(hom[e] for e in a.elements)
         found += got is not None
     assert len(cases) == 35 * 35 + 7 * 7 + 2 * 5 * 24 and found
+
+
+def test_search_plan_watches_each_diagram_conjunct_once():
+    # the sources of test_search_hom_matches_rescanning_oracle: each
+    # conjunct of the diagram is on the plan's watch list exactly once,
+    # at the rank position of the last of its elements, and each constant
+    # sits at its diagram position
+    sources = [(a, CIRL) for lat in all_lattices(5)
+               for a in enumerate_cirls(lat) if monolith_info(a).is_si]
+    sources += [(wajsberg_hoop(n), CIRL) for n in range(2, 9)]
+    sources += [(up_set_algebra(p), sig) for sig in (HPLUS, DHEYTING)
+                for p in all_posets(3, connected_only=True, dedupe=True)]
+    assert len(sources) == 35 + 7 + 2 * 5
+    for a, sig in sources:
+        d = build_diagram(a, sig)
+        plan = _search_plan(a, sig)
+        want = Counter((meth, tuple(d.variables[p] for p in args + (res,)))
+                       for meth, args, res in d.conjuncts)
+        got = Counter()
+        for k, level in enumerate(zip(plan.binary, plan.unary)):
+            for meth, entries in level[0] + level[1]:
+                for entry in entries:
+                    assert max(entry) == k
+                    got[meth, tuple(plan.order[p] for p in entry)] += 1
+        assert got == want
+        assert {c: plan.order[k] for k, c in plan.consts} == \
+            {c: d.variables[p] for c, p in d.const_conjuncts}
 
 
 def _trivial_hplus():

@@ -325,6 +325,20 @@ def test_hoop_arithmetic():
         wajsberg_hoop(1)
 
 
+def test_potency_matches_power_oracle():
+    # the least n with x^(n+1) = x^n for every x, by brute force
+    count = 0
+    for lat in all_lattices(5):
+        for c in enumerate_cirls(lat):
+            n = 0
+            while any(c.power(x, n + 1) != c.power(x, n)
+                      for x in c.elements):
+                n += 1
+            assert c.potency() == n
+            count += 1
+    assert count == 38
+
+
 def test_congruence_filters():
     for n in range(2, 7):
         assert len(congruence_filters(wajsberg_hoop(n))) == 2
