@@ -7,6 +7,7 @@ found, 3 input/format/size trouble.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,6 +27,11 @@ SCHEMA = 1
 ENV_MAX_POSET = "SPLITBENCH_MAX_POSET"
 ENV_MAX_UPSETS = "SPLITBENCH_MAX_UPSETS"
 ENV_BUDGET = "SPLITBENCH_BUDGET"
+
+# The cap flags, by argument name: (name, environment variable, default).
+_CAPS = (("max_poset", ENV_MAX_POSET, MAX_POSET_SIZE),
+         ("max_upsets", ENV_MAX_UPSETS, DEFAULT_UPSET_CAP),
+         ("budget", ENV_BUDGET, duality.MORPHISM_BUDGET))
 
 
 # -- file formats ----------------------------------------------------------
@@ -446,18 +452,16 @@ def _int_arg(lowest: int | None = None, env: str | None = None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  The cap flags get their
+    defaults from ``run`` on each call."""
     ap = _Parser(
         prog="splitbench",
         description="finite-algebra workbench: splittings, dualities, "
                     "expansions")
-    for flag, env, default in (("--max-poset", ENV_MAX_POSET, MAX_POSET_SIZE),
-                               ("--max-upsets", ENV_MAX_UPSETS,
-                                DEFAULT_UPSET_CAP),
-                               ("--budget", ENV_BUDGET,
-                                duality.MORPHISM_BUDGET)):
-        ap.add_argument(flag, type=_int_arg(env=env),
-                        default=os.environ.get(env, str(default)))
+    for name, env, _ in _CAPS:
+        ap.add_argument("--" + name.replace("_", "-"), type=_int_arg(env=env))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -524,7 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    # argparse converts a string default after parsing, so a bad variable
+    # exits like a bad flag value; the variables are read on every call.
+    ap.set_defaults(**{name: os.environ.get(env, str(default))
+                       for name, env, default in _CAPS})
+    args = ap.parse_args(argv)
     try:
         return args.fn(args)
     except (FormatError, SizeError) as exc:

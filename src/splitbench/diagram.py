@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
-from .poset import DoublePointedPoset, FinPoset, bits, popcount
+from .poset import DoublePointedPoset, FinPoset, bits, is_connected, popcount
 
 ASSIGNMENT_CAP = 2_000_000
 
@@ -511,8 +511,12 @@ def in_hs(a, b, sig) -> bool:
     b = _as_up_set_algebra(b)
     fixed = [g for g in b.elements if g and sig.delta(b, g) == g]
     for g in sorted(fixed, key=popcount, reverse=True):
+        # G is an up-set, so Up(G) is the up-sets of X inside G: count
+        # them before building a quotient too small to search
+        if sum(u & g == u for u in b.elements) < a_n:
+            continue
         q = b if g == b.one else up_set_algebra(b.base.restrict(g)[0])
-        if a_n <= q.size and search_embedding(a, q, sig) is not None:
+        if search_embedding(a, q, sig) is not None:
             return True
     return False
 
@@ -645,6 +649,9 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
         return WitnessReport(sig.tag, a.size, exempt=True,
                              note="two- and three-element algebras split; "
                                   "suite skipped")
+    # before double_point, so every disconnected base gets this reason
+    if not is_connected(a.base):
+        raise BadParameter("x must be connected")
     x = double_point(a.base)
     fence = fence_for_target(x)
     report = WitnessReport(sig.tag, a.size, exempt=False, note="")

@@ -81,7 +81,7 @@ class FinLattice:
                         return x, y, z
         return None
 
-    def covers(self) -> list[tuple[int, int]]:
+    def covers(self) -> tuple[tuple[int, int], ...]:
         return self.poset.covers()
 
     def is_cover(self, a: int, b: int) -> bool:

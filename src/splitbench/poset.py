@@ -57,11 +57,12 @@ class FinPoset:
     read per-byte tables of these rows, built on their first call, and
     raise RangeError on a mask with bits outside the carrier (a negative
     mask included).  The masks of minimal and maximal elements are
-    computed once, with the relation.
+    computed once, with the relation; the cover pairs once, on the first
+    call of ``covers``.
     """
 
     __slots__ = ("size", "up", "down", "all_mask", "_up_tables",
-                 "_down_tables", "_minimals", "_maximals")
+                 "_down_tables", "_minimals", "_maximals", "_covers")
 
     def __init__(self, up_rows):
         up = tuple(up_rows)
@@ -79,7 +80,7 @@ class FinPoset:
         self.up = up
         self.down = tuple(down)
         self.all_mask = full
-        self._up_tables = self._down_tables = None
+        self._up_tables = self._down_tables = self._covers = None
         self._minimals = sum(1 << i for i in range(n) if down[i] == 1 << i)
         self._maximals = sum(1 << i for i in range(n) if up[i] == 1 << i)
         self._check_order()
@@ -131,16 +132,21 @@ class FinPoset:
     def maximals(self) -> int:
         return self._maximals
 
-    def covers(self) -> list[tuple[int, int]]:
+    def covers(self) -> tuple[tuple[int, int], ...]:
         """All pairs (a, b) with a covered by b, bottom up: sorted by the
-        size of ``down[b]``, so the pairs below an element come first."""
-        out = []
-        for a in range(self.size):
-            for b in bits(self.up[a] & ~(1 << a)):
-                between = self.up[a] & self.down[b] & ~(1 << a) & ~(1 << b)
-                if not between:
-                    out.append((a, b))
-        return sorted(out, key=lambda ab: popcount(self.down[ab[1]]))
+        size of ``down[b]``, so the pairs below an element come first.
+        Computed on the first call and shared, hence a tuple."""
+        if self._covers is None:
+            out = []
+            for a in range(self.size):
+                for b in bits(self.up[a] & ~(1 << a)):
+                    between = (self.up[a] & self.down[b]
+                               & ~(1 << a) & ~(1 << b))
+                    if not between:
+                        out.append((a, b))
+            self._covers = tuple(
+                sorted(out, key=lambda ab: popcount(self.down[ab[1]])))
+        return self._covers
 
     def height(self) -> int:
         """Length of a longest chain, counted in covers."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import time
@@ -11,7 +12,7 @@ from splitbench.diagram import KINDS, TableAlgebra
 from splitbench.duality import up_set_algebra
 from splitbench.errors import AxiomError, SplitbenchError
 from splitbench.lattice import FinLattice
-from splitbench.poset import build_poset
+from splitbench.poset import build_poset, is_connected
 from splitbench.residuated import truncated_product, wajsberg_hoop
 
 
@@ -489,3 +490,109 @@ def test_expansions_past_the_cap_exit_three(tmp_path, capsys):
         assert captured.out == "", argv
         assert "expansion monoid of 129 elements exceeds cap 128" in \
             captured.err, argv
+
+
+# the cap variables are read on every call, so each cli.run obeys the
+# value current at that call: (variable, argv, a value that refuses, its
+# message, a value that passes)
+def _cap_cases(tmp_path):
+    antichain3 = write(tmp_path, "a3.json", {"kind": "poset", "size": 3,
+                                             "le": []})
+    vee = write(tmp_path, "vee.json",
+                {"kind": "poset", "size": 3, "le": [[0, 1], [2, 1]]})
+    fence = write(tmp_path, "fence.json",
+                  {"kind": "poset", "size": 4,
+                   "le": [[0, 1], [2, 1], [2, 3]]})
+    chain = write(tmp_path, "chain.json",
+                  {"kind": "poset", "size": 2, "le": [[0, 1]]})
+    return ((cli.ENV_MAX_POSET, ["validate", vee], "2",
+             "poset size 3 exceeds cap 2", "3"),
+            (cli.ENV_MAX_UPSETS, ["upalg", antichain3], "4",
+             "2^3 up-set candidates exceed cap 4", "8"),
+            (cli.ENV_BUDGET, ["morphisms", fence, chain, "--kind", "hplus"],
+             "1", "morphism search budget exceeded", "1000"))
+
+
+def test_cap_variables_are_read_on_every_call(tmp_path, capsys,
+                                              monkeypatch):
+    for env, argv, refuse, message, allow in _cap_cases(tmp_path):
+        monkeypatch.delenv(env, raising=False)
+        assert cli.run(argv) == 0, env
+        capsys.readouterr()
+        for value, code in ((refuse, 3), (allow, 0), (refuse, 3)):
+            monkeypatch.setenv(env, value)
+            assert cli.run(argv) == code, (env, value)
+            captured = capsys.readouterr()
+            assert (message in captured.err) == (code == 3), (env, value)
+        monkeypatch.delenv(env)
+        assert cli.run(argv) == 0, env
+        assert capsys.readouterr().err == "", env
+
+
+USAGE = """\
+usage: splitbench [-h] [--max-poset MAX_POSET] [--max-upsets MAX_UPSETS]
+                  [--budget BUDGET]
+                  {validate,analyze,hoop,expand,truncprod,dual,upalg,searrow,powerchain,diagram,witness,hwitness,morphisms,splittings,filtrate}
+                  ...
+"""
+
+
+def test_bad_cap_variable_messages_are_exact(capsys, monkeypatch):
+    # argparse wraps usage to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    for env, flag in ((cli.ENV_MAX_POSET, "--max-poset"),
+                      (cli.ENV_MAX_UPSETS, "--max-upsets"),
+                      (cli.ENV_BUDGET, "--budget")):
+        expected = (USAGE + f"splitbench: error: argument {flag}: invalid "
+                    f"int value 'lots' (from the flag or {env})\n")
+        # a bad variable is reported even before a missing command
+        for argv in (["hoop", "3"], []):
+            monkeypatch.setenv(env, "lots")
+            with pytest.raises(SystemExit) as stop:
+                cli.run(argv)
+            assert stop.value.code == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == expected, argv
+        monkeypatch.delenv(env)
+        assert cli.run(["hoop", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setenv(env, "lots")
+        # the flag wins over the variable, as at parse time
+        assert cli.run([flag, "1000", "hoop", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.delenv(env)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert cli.run(["hoop", "3"]) == 0
+    assert len(built) == 16     # the top parser and its 15 subcommands
+    assert cli.run(["hoop", "4"]) == 0
+    with pytest.raises(SystemExit):
+        cli.run(["hoop"])
+    assert len(built) == 16
+    capsys.readouterr()
+
+
+def test_witness_on_a_disconnected_poset_names_connectedness(tmp_path,
+                                                              capsys):
+    # up to isomorphism: 1, 2 and 6 of the posets of 2, 3 and 4 points,
+    # three of them antichains, which have no comparable (bot, top) pair
+    disconnected = [p for p in all_posets(4, dedupe=True)
+                    if not is_connected(p)]
+    assert len(disconnected) == 1 + 2 + 6
+    for k, p in enumerate(disconnected):
+        path = write(tmp_path, f"d{k}.json", cli.poset_to_json(p))
+        for sig in ("hplus", "dheyting"):
+            assert cli.run(["witness", path, "--sig", sig]) == 1, (k, sig)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "invalid: x must be connected\n", (k, sig)

@@ -254,6 +254,29 @@ def test_in_hs_matches_table_quotient_oracle():
     assert found == 125
 
 
+def test_in_hs_builds_no_quotient_smaller_than_a(monkeypatch):
+    # |Up(G)| is counted before Up(G) is built; building first made 282
+    # quotients over these pairs, 170 of them too small to search
+    from splitbench import duality
+
+    sources = [up_set_algebra(p) for p in all_posets(3, connected_only=True)]
+    targets = [up_set_algebra(p) for p in all_posets(4, dedupe=True)]
+    built = []
+
+    def counting(p, *args, **kwargs):
+        q = up_set_algebra(p, *args, **kwargs)
+        built.append(q.size)
+        return q
+
+    monkeypatch.setattr(duality, "up_set_algebra", counting)
+    for sig in (HPLUS, DHEYTING):
+        for b in targets:
+            for a in sources:
+                del built[:]
+                in_hs(a, b, sig)
+                assert all(size >= a.size for size in built), (a, b, sig)
+
+
 def test_witness_suite_cirl_c3():
     rep = witness_suite(wajsberg_hoop(3), 1, CIRL)
     assert not rep.exempt

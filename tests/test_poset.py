@@ -237,7 +237,8 @@ def test_covers_are_the_old_loop_bottom_up():
     for p in labelled:
         old = oracle_covers(p)
         bottom_up = sorted(old, key=lambda ab: popcount(p.down[ab[1]]))
-        assert p.covers() == bottom_up
+        assert p.covers() == tuple(bottom_up)
+        assert p.covers() is p.covers()     # computed once
         assert poset_to_json(p)["le"] == [[a, b] for a, b in old]
 
 
