@@ -248,6 +248,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_hoop(args):
+    if args.n > residuated.PRODUCT_CAP:
+        raise SizeError(f"hoop of {args.n} elements exceeds cap "
+                        f"{residuated.PRODUCT_CAP}")
     alg = residuated.wajsberg_hoop(args.n)
     _emit(algebra_to_json(alg, "cirl",
                           labels=[f"q^{i}" for i in range(args.n)]))

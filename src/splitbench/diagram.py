@@ -12,19 +12,24 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
-from .poset import DoublePointedPoset, FinPoset, bits, is_connected, popcount
+from .poset import DoublePointedPoset, FinPoset, bits, is_connected
 
 ASSIGNMENT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Which operations an algebra kind has and how iff/delta unfold."""
+    """Which operations an algebra kind has, and its terms as data: the
+    method names of a product and its residual, and the delta term as a
+    function (alg, x)."""
 
     tag: str
     binary: tuple[tuple[str, str], ...]   # (JSON table key, method name)
     unary: tuple[tuple[str, str], ...]
     consts: tuple[str, ...]               # attribute names
+    product: str = "meet"
+    residual: str = "arrow"
+    delta: object = None
 
     def supports(self, alg) -> bool:
         for _, meth in self.binary + self.unary:
@@ -38,15 +43,8 @@ class Signature:
                 f"algebra {alg!r} does not carry the {self.tag} operations")
 
     def iff(self, alg, x, y):
-        res = alg.res if self.tag == "cirl" else alg.arrow
+        res = getattr(alg, self.residual)
         return alg.meet(res(x, y), res(y, x))
-
-    def delta(self, alg, x):
-        if self.tag == "cirl":
-            return alg.mult(x, x)
-        if self.tag == "hplus":
-            return alg.arrow(alg.dpc(x), alg.zero)
-        return alg.arrow(alg.coarrow(alg.one, x), alg.zero)
 
 
 CIRL = Signature(
@@ -54,12 +52,14 @@ CIRL = Signature(
     (("meet", "meet"), ("join", "join"), ("mul", "mult"), ("arrow", "res")),
     (),
     ("one",),
+    product="mult", residual="res", delta=lambda alg, x: alg.mult(x, x),
 )
 HPLUS = Signature(
     "hplus",
     (("meet", "meet"), ("join", "join"), ("arrow", "arrow")),
     (("dpc", "dpc"),),
     ("zero", "one"),
+    delta=lambda alg, x: alg.arrow(alg.dpc(x), alg.zero),
 )
 DHEYTING = Signature(
     "dheyting",
@@ -67,6 +67,7 @@ DHEYTING = Signature(
      ("coarrow", "coarrow")),
     (),
     ("zero", "one"),
+    delta=lambda alg, x: alg.arrow(alg.coarrow(alg.one, x), alg.zero),
 )
 # no diagrams for these two; they name the ops of the JSON formats
 HEYTING = Signature(
@@ -483,39 +484,32 @@ def delta_power_witness(a, b, i: int, sig, candidates=()):
 def in_hs(a, b, sig) -> bool:
     """True iff a embeds into some quotient of b.
 
-    For CIRLs a quotient is built only when its congruence has at least
-    as many classes as a has elements, and the filter {1}, the identity
-    congruence, gives b itself.  For the order signatures b is dualized
-    once: the congruence of the filter above a delta-fixed up-set G
-    identifies U and V iff U & G == V & G, so the quotient is Up(G)
-    (Priestley 1975), and G = X gives b itself.
+    Each delta-fixed g of b (an idempotent, for CIRLs) has the congruence
+    g <= iff(x, y), which is g·x = g·y for the signature's product ·, so
+    its quotient has |{g·x}| elements.  The g are tried by that count,
+    largest first, until it falls below |a|; g = 1 gives b itself.  A
+    CIRL quotient is ``quotient``; for the order signatures b is dualized
+    once and the quotient by an up-set G is Up(G) (Priestley 1975).
     """
+    from . import duality, residuated
+
     sig = get_signature(sig)
-    a_n = a.size
-    if sig.tag == "cirl":
-        from .residuated import (congruence_classes, congruence_filters,
-                                 quotient)
-
-        for f in congruence_filters(b):
-            k = len(congruence_classes(b, f)[0])
-            if k < a_n:
-                continue
-            q = b if k == b.size else quotient(b, f).algebra
-            if search_embedding(a, q, sig) is not None:
-                return True
-        return False
-    from .duality import _as_up_set_algebra, up_set_algebra
-
-    if a_n == 1:
+    if a.size == 1:
         return True    # the quotient by the total congruence
-    b = _as_up_set_algebra(b)
-    fixed = [g for g in b.elements if g and sig.delta(b, g) == g]
-    for g in sorted(fixed, key=popcount, reverse=True):
-        # G is an up-set, so Up(G) is the up-sets of X inside G: count
-        # them before building a quotient too small to search
-        if sum(u & g == u for u in b.elements) < a_n:
-            continue
-        q = b if g == b.one else up_set_algebra(b.base.restrict(g)[0])
+    if sig is not CIRL:
+        b = duality._as_up_set_algebra(b)
+    prod, elements = getattr(b, sig.product), list(b.elements)
+    classes = {g: len({prod(g, x) for x in elements})
+               for g in elements if sig.delta(b, g) == g}
+    for g in sorted(classes, key=classes.get, reverse=True):
+        if classes[g] < a.size:
+            break
+        if classes[g] == len(elements):
+            q = b
+        elif sig is CIRL:
+            q = residuated.quotient(b, b.lattice.poset.up[g]).algebra
+        else:
+            q = duality.up_set_algebra(b.base.restrict(g)[0])
         if search_embedding(a, q, sig) is not None:
             return True
     return False

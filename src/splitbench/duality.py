@@ -25,7 +25,7 @@ class UpSetAlgebra:
     holds the compiled embedding-search plans of the algebra as a source.
     """
 
-    __slots__ = ("base", "one", "_elements", "_index", "_plans")
+    __slots__ = ("base", "one", "_elements", "_plans")
 
     zero = bottom = 0
 
@@ -33,7 +33,6 @@ class UpSetAlgebra:
         self.base = base
         self.one = base.all_mask
         self._elements = None
-        self._index = None
         self._plans = {}
 
     # -- carrier ---------------------------------------------------------
@@ -41,7 +40,6 @@ class UpSetAlgebra:
     def materialize(self, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
         if self._elements is None:
             self._elements = enumerate_up_sets(self.base, cap)
-            self._index = {m: i for i, m in enumerate(self._elements)}
         return self._elements
 
     @property
@@ -51,10 +49,6 @@ class UpSetAlgebra:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def index(self, u: int) -> int:
-        self.materialize()
-        return self._index[u]
 
     # -- operations (masks in, masks out) ---------------------------------
 
@@ -348,10 +342,12 @@ def katrinak_arrow(alg: UpSetAlgebra, u: int, v: int) -> int:
 
 
 def generate_subalgebra(alg, gens, signature: str = "hplus") -> set:
-    """Closure of gens plus the bounds under the signature's operations."""
-    sig = KINDS[signature]
+    """Closure of gens plus the constants under the signature's operations."""
+    sig = KINDS.get(signature)
+    if sig is None:
+        raise BadParameter(f"unknown signature {signature!r}")
     ops = [(m, 2) for _, m in sig.binary] + [(m, 1) for _, m in sig.unary]
-    current = set(gens) | {alg.zero, alg.one}
+    current = set(gens) | {getattr(alg, c) for c in sig.consts}
     frontier = list(current)
     while frontier:
         nxt = []

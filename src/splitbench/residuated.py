@@ -334,45 +334,28 @@ class Quotient:
     projection: list[int] = field(default_factory=list)
 
 
-def congruence_classes(alg: CIRLTable, filter_mask: int):
-    """The classes of a filter's congruence: a representative of each,
-    the first of its elements, and each element's class index.
+def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
+    """Quotient by the congruence of a filter, with the projection map.
 
-    x and y are identified iff x -> y and y -> x lie in the filter.
+    The filter is up[g] for an idempotent g, its meet, and g <= x -> y
+    says g*x <= y, which holds iff g*x = g*g*x <= g*y.  So x ~ y iff
+    g*x = g*y, the class of x is below that of y iff g*x <= g*y, and g*x
+    lies in the class of x: the classes and their order are read off row
+    g of ``mul``, numbered by their first element.
     """
     lat = alg.lattice
-    # a congruence filter is up[g] for an idempotent g, its meet
     if not 0 < filter_mask <= lat.poset.all_mask or \
             lat.poset.up[g := lat.meet_all(filter_mask)] != filter_mask or \
             alg.mul[g][g] != g:
         raise NotACongruenceFilter(f"mask {filter_mask:b}")
-    res = alg.arrow
-    reps = []
-    proj = [None] * alg.size
-    for x in range(alg.size):
-        for k, r in enumerate(reps):
-            if filter_mask >> res[x][r] & 1 and filter_mask >> res[r][x] & 1:
-                proj[x] = k
-                break
-        else:
-            proj[x] = len(reps)
-            reps.append(x)
-    return reps, proj
-
-
-def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
-    """Quotient by the congruence of a filter, with the projection map.
-
-    The classes are ``congruence_classes``; the class of x is below the
-    class of y iff x -> y lies in the filter: (x | y) -> y is x -> y, and
-    y -> (x | y) is 1.
-    """
-    reps, proj = congruence_classes(alg, filter_mask)
-    res = alg.arrow
-    rows = [sum(1 << k for k, r in enumerate(reps)
-                if filter_mask >> res[x][r] & 1) for x in reps]
+    index = {}
+    proj = [index.setdefault(v, len(index)) for v in alg.mul[g]]
+    reps = list(index)
+    up = lat.poset.up
+    rows = [sum(1 << k for k, r in enumerate(reps) if up[x] >> r & 1)
+            for x in reps]
     mul = [[proj[alg.mul[x][y]] for y in reps] for x in reps]
-    arrow = [[proj[res[x][y]] for y in reps] for x in reps]
+    arrow = [[proj[alg.arrow[x][y]] for y in reps] for x in reps]
     return Quotient(validate_cirl(FinLattice(FinPoset(rows)), mul, arrow),
                     proj)
 

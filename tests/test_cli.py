@@ -472,6 +472,19 @@ def test_truncated_products_past_the_cap_exit_three(tmp_path, capsys):
             captured.err, argv
 
 
+def test_hoop_past_the_product_cap_exits_three(capsys):
+    # building and printing a hoop grows with n squared; the cap is the
+    # truncated products' own
+    start = time.perf_counter()
+    assert cli.run(["hoop", "257"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hoop of 257 elements exceeds cap 256\n"
+    code, hoop = run_cli(capsys, "hoop", "256")
+    assert code == 0 and hoop["size"] == 256
+
+
 def test_expansions_past_the_cap_exit_three(tmp_path, capsys):
     # the C2 tower reaches depth 64 in a 65-element round, and the next
     # round, which depth 256 ran into for over 300 s, takes a 129-element

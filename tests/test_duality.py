@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from conftest import (all_posets, antichain, chain, crown4, fence,
-                      lattices_isomorphic, oracle_dp_congruences, vee)
+from conftest import (all_lattices, all_posets, antichain, chain, crown4,
+                      enumerate_cirls, fence, lattices_isomorphic,
+                      oracle_dp_congruences, vee)
 from splitbench import cli
 from splitbench.duality import (CONGRUENCE_CAP, PosetMap, UpSetAlgebra,
                                 birkhoff_map, classify_algebra, classify_map,
@@ -282,6 +283,27 @@ def test_generate_subalgebra():
         assert any(
             len(generate_subalgebra(alg, [u], "hplus")) == 3
             for u in alg.elements), repr(p)
+
+
+def test_generate_subalgebra_reads_the_signature():
+    # a CIRL has no zero: {x} closes with 1 under meet, join, mult and res
+    cases = 0
+    for lat in all_lattices(5):
+        for alg in enumerate_cirls(lat):
+            ops = (alg.meet, alg.join, alg.mult, alg.res)
+            for x in alg.elements:
+                want = {x, alg.one}
+                while True:
+                    more = want | {f(u, v) for f in ops
+                                   for u in want for v in want}
+                    if more == want:
+                        break
+                    want = more
+                assert generate_subalgebra(alg, [x], "cirl") == want
+                cases += 1
+    assert cases == 172
+    with pytest.raises(BadParameter, match="^unknown signature 'bogus'$"):
+        generate_subalgebra(up_set_algebra(chain(2)), [], "bogus")
 
 
 def test_varlet_report():

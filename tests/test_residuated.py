@@ -3,7 +3,7 @@ import pytest
 import re
 from functools import cache
 
-from conftest import (all_lattices, chain, enumerate_cirls, m3,
+from conftest import (all_lattices, all_posets, chain, enumerate_cirls, m3,
                       oracle_congruence_filters,
                       oracle_derive_arrow, oracle_in_hs, oracle_monoid_laws,
                       oracle_monolith_info, oracle_quotient,
@@ -14,8 +14,10 @@ from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter, SizeError)
 from splitbench.lattice import FinLattice
 from splitbench.poset import bits, build_poset, popcount
-from splitbench.diagram import CIRL, in_hs, search_embedding
-from splitbench import residuated
+from splitbench.diagram import (CIRL, DHEYTING, HPLUS, in_hs,
+                                search_embedding)
+from splitbench.duality import up_set_algebra
+from splitbench import diagram, residuated
 from splitbench.residuated import (check_monoid, congruence_filters,
                                    derive_arrow, generators,
                                    is_isomorphic,
@@ -217,6 +219,45 @@ def test_cirl_in_hs_matches_table_quotient_oracle():
             cases += 1
             found += got
     assert (cases, found) == (2240, 276)
+
+
+def test_congruences_are_the_fibres_of_g_times_x(monkeypatch):
+    # for each delta-fixed g, the classes of g <= iff(x, y) are the fibres
+    # of x -> g·x (mult for CIRLs, the meet on up-sets), and in_hs
+    # searches one quotient of that many elements per g, most first
+    searched = []
+
+    def record(a, q, sig):
+        searched.append(q.size)
+
+    monkeypatch.setattr(diagram, "search_embedding", record)
+    cirls = [c for lat in all_lattices(5) for c in enumerate_cirls(lat)]
+    cases = [(b, CIRL, b.mult, wajsberg_hoop(2))
+             for b in cirls + [got for got, _ in _products()]]
+    two = up_set_algebra(chain(1))
+    cases += [(b, sig, b.meet, two) for b in map(up_set_algebra, all_posets(4))
+              for sig in (HPLUS, DHEYTING)]
+    fixed = 0
+    for b, sig, times, a in cases:
+        counts = []
+        for g in b.elements:
+            if sig.delta(b, g) != g:
+                continue
+            classes, fibres = {}, {}
+            for x in b.elements:
+                r = next((r for r in classes
+                          if b.leq(g, sig.iff(b, x, r))), x)
+                classes.setdefault(r, set()).add(x)
+                fibres.setdefault(times(g, x), set()).add(x)
+            assert sorted(map(sorted, classes.values())) == \
+                sorted(map(sorted, fibres.values())), (b, sig, g)
+            counts.append(len(classes))
+            fixed += 1
+        del searched[:]
+        assert not in_hs(a, b, sig)
+        assert searched == sorted((k for k in counts if k >= 2),
+                                  reverse=True), (b, sig)
+    assert fixed == 115 + 7225 + 194 + 194
 
 
 def test_congruence_filters_match_oracle():
