@@ -9,7 +9,6 @@ up-set algebras are handled uniformly.
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import BadParameter, NotSI, SignatureMismatch, SizeError
 from .poset import DoublePointedPoset, FinPoset, bits, is_connected
@@ -98,11 +97,17 @@ def get_signature(sig) -> Signature:
 
 @dataclass(frozen=True)
 class TermDiagram:
-    source: object
+    """A source compiled once per signature: its term diagram, with the
+    monolith-bottom variable and the search's placement order.  Each
+    conjunct is watched at the rank of the last of its variables."""
+
     signature: Signature
     variables: tuple          # source elements, one variable each
     conjuncts: tuple          # (method, arg positions, result position)
     const_conjuncts: tuple    # (const attr, position)
+    mu: int | None            # monolith bottom's position; None unless SI
+    order: tuple              # positions in rank order, as placed
+    watch: tuple              # per rank: ((method, conjuncts), ...)
 
     @property
     def var_count(self) -> int:
@@ -119,22 +124,49 @@ class Assignment:
 
 
 def build_diagram(a, sig) -> TermDiagram:
+    """The term diagram of a, built on first use and kept in a's
+    ``_plans`` under the signature's tag.  It holds no reference to a,
+    so a compiled algebra is still freed by reference counting."""
     sig = get_signature(sig)
+    d = a._plans.get(sig.tag)
+    if d is not None:
+        return d
     sig.require(a)
     elements = tuple(a.elements)
     pos = {e: i for i, e in enumerate(elements)}
+    order = tuple(pos[e] for e in _rank_order(a))
+    rank = sorted(range(len(order)), key=order.__getitem__)   # order^-1
+    # per method, per rank: the conjuncts whose last variable sits there
+    at = {m: [[] for _ in order] for _, m in sig.binary + sig.unary}
     conjuncts = []
     for _, meth in sig.binary:
-        fn = getattr(a, meth)
+        fn, by_rank = getattr(a, meth), at[meth]
         for x in elements:
+            px = pos[x]
+            rx = rank[px]
             for y in elements:
-                conjuncts.append((meth, (pos[x], pos[y]), pos[fn(x, y)]))
+                py, pr = pos[y], pos[fn(x, y)]
+                c = (meth, (px, py), pr)
+                conjuncts.append(c)
+                # the last rank; a max() call here cost a quarter of the build
+                r = rank[py] if rank[py] > rx else rx
+                by_rank[r if r > rank[pr] else rank[pr]].append(c)
     for _, meth in sig.unary:
-        fn = getattr(a, meth)
+        fn, by_rank = getattr(a, meth), at[meth]
         for x in elements:
-            conjuncts.append((meth, (pos[x],), pos[fn(x)]))
+            px, pr = pos[x], pos[fn(x)]
+            c = (meth, (px,), pr)
+            conjuncts.append(c)
+            by_rank[max(rank[px], rank[pr])].append(c)
     const_conjuncts = tuple((c, pos[getattr(a, c)]) for c in sig.consts)
-    return TermDiagram(a, sig, elements, tuple(conjuncts), const_conjuncts)
+    info = si_structure(a, sig)
+    watch = tuple(tuple((m, tuple(by_rank[k])) for m, by_rank in at.items()
+                        if by_rank[k]) for k in range(len(order)))
+    d = TermDiagram(sig, elements, tuple(conjuncts), const_conjuncts,
+                    pos[info.mu_bottom] if info.is_si else None,
+                    order, watch)
+    a._plans[sig.tag] = d
+    return d
 
 
 def eval_diagram(d: TermDiagram, asg: Assignment):
@@ -200,8 +232,8 @@ class TableAlgebra:
     Each operation of ``KINDS[kind]`` is a method under its name, read
     from the table under its JSON key; a table whose key is not the
     method name (``cirl``'s ``mul`` and ``arrow``) is kept under its key
-    too.  Each constant is an attribute.  ``_plans`` holds the compiled
-    embedding-search plans of the algebra as a source.
+    too.  Each constant is an attribute.  ``_plans`` holds the algebra's
+    term diagram per signature and its delta-indices, each built once.
     """
 
     def __init__(self, kind: str, lattice, tables: dict, consts: dict):
@@ -240,12 +272,18 @@ def _rank_order(alg):
     return sorted(elements, key=lambda e: sum(alg.leq(f, e) for f in elements))
 
 
-def _delta_indices(alg, sig, elements) -> dict:
+def _delta_indices(alg, sig) -> dict:
     """Each element's delta-index: the least k with delta^k(x) equal to
     delta^(k+1)(x), or None where the delta orbit cycles without a fixed
-    point.  An injective homomorphism preserves it exactly."""
+    point.  An injective homomorphism preserves it exactly.  Computed on
+    first use and kept in alg's ``_plans`` under ``("delta", tag)``; it
+    serves sources and targets alike."""
+    key = ("delta", sig.tag)
+    index = alg._plans.get(key)
+    if index is not None:
+        return index
     index = {}
-    for x in elements:
+    for x in alg.elements:
         path = []
         y = x
         while y not in index and y not in path:
@@ -258,58 +296,12 @@ def _delta_indices(alg, sig, elements) -> dict:
         for y in reversed(path):
             k = None if k is None else k + 1
             index[y] = k
+    alg._plans[key] = index
     return index
 
 
-class SearchPlan(NamedTuple):
-    """The half of ``search_hom`` that depends on the source alone."""
-
-    order: tuple          # a's elements in rank order
-    consts: tuple         # (position, constant attribute)
-    delta_index: tuple    # per position
-    binary: tuple         # per position: ((method, ((px, py, pr), ...)), ...)
-    unary: tuple          # per position: ((method, ((px, pr), ...)), ...)
-
-
-def _search_plan(a, sig) -> SearchPlan:
-    """Compile a for searches in ``sig``: built on first use and kept in
-    a's ``_plans`` under the signature's tag.
-
-    The conjuncts of a's term diagram are re-indexed into rank order, and
-    each table entry x*y = r is watched at the position that places the
-    last of x, y and r, grouped by operation.
-    """
-    plan = a._plans.get(sig.tag)
-    if plan is not None:
-        return plan
-    d = build_diagram(a, sig)
-    order = _rank_order(a)
-    n = len(order)
-    pos = {e: k for k, e in enumerate(order)}
-    rank = [pos[e] for e in d.variables]
-    watch = {m: [[] for _ in range(n)] for _, m in sig.binary + sig.unary}
-    for meth, args, res in d.conjuncts:
-        if len(args) == 2:
-            entry = (rank[args[0]], rank[args[1]], rank[res])
-        else:
-            entry = (rank[args[0]], rank[res])
-        watch[meth][max(entry)].append(entry)
-
-    def levels(ops):
-        return tuple(tuple((m, tuple(watch[m][k])) for _, m in ops
-                           if watch[m][k]) for k in range(n))
-
-    index = _delta_indices(a, sig, order)
-    plan = SearchPlan(tuple(order),
-                      tuple((rank[p], c) for c, p in d.const_conjuncts),
-                      tuple(index[e] for e in order),
-                      levels(sig.binary), levels(sig.unary))
-    a._plans[sig.tag] = plan
-    return plan
-
-
-def _injective_domains(plan, forced, b, sig, b_elems):
-    """Candidate values per position for an embedding, or None when the
+def _injective_domains(a, d, forced, b, sig):
+    """Candidate values per rank for an embedding, or None when the
     delta-indices show that there is none: a constant's value has another
     index than the constant, or some index has more free positions in a
     than free values in b.
@@ -318,19 +310,21 @@ def _injective_domains(plan, forced, b, sig, b_elems):
     position without a constant never takes a constant's value.  Both
     filters drop only values that lie in no embedding and keep b's order.
     """
-    index = _delta_indices(b, sig, b_elems)
+    a_index = _delta_indices(a, sig)
+    index = _delta_indices(b, sig)
     taken = set(forced.values())
     free = {}
-    for v in b_elems:
+    for v in b.elements:
         if v not in taken:
             free.setdefault(index[v], []).append(v)
     need = {}
     cands = []
-    for k, i in enumerate(plan.delta_index):
-        if k in forced:
-            if index.get(forced[k]) != i:
+    for p in d.order:
+        i = a_index[d.variables[p]]
+        if p in forced:
+            if index.get(forced[p]) != i:
                 return None
-            cands.append((forced[k],))
+            cands.append((forced[p],))
         else:
             need[i] = need.get(i, 0) + 1
             cands.append(free.get(i, ()))
@@ -343,74 +337,76 @@ def search_hom(a, b, sig):
     """Backtracking search for an injective operation-preserving map
     a -> b, or None.
 
-    Elements of a are placed in lattice-rank order and tried against the
-    elements of b in order.  Each table entry x*y = r of a is checked
-    once, at the node that places the last of x, y and r; the meet entries
-    cover order preservation.  The rank order, the entries to check at
-    each position and a's delta-indices form a's plan (``_search_plan``),
-    compiled once per source and signature.  Each position's values are
-    narrowed by delta-index, and the constants' values are kept for the
-    constants (``_injective_domains``); b's delta-indices are computed
-    once per call.  Pruning only drops values that lie in no solution, so
-    the first map found does not depend on when entries are checked or on
-    the filters.  b's operations are bound once per call and otherwise
-    evaluated on demand, not tabulated: a search visits few nodes.
+    Positions of a's term diagram (``build_diagram``) are placed in its
+    rank order and tried against the elements of b in order; each
+    conjunct x*y = r is checked once, at the rank that places the last of
+    x, y and r, and the meet conjuncts cover order preservation.  Each
+    position's values are narrowed by delta-index, and the constants'
+    values are kept for the constants (``_injective_domains``); each
+    algebra's delta-indices are computed once.  Pruning only drops values
+    that lie in no solution, so the first map found does not depend on
+    when conjuncts are checked or on the filters.  b's operations are
+    bound once per call and otherwise evaluated on demand, not
+    tabulated: a search visits few nodes.
     """
     sig = get_signature(sig)
-    plan = _search_plan(a, sig)
+    d = build_diagram(a, sig)
     sig.require(b)
-    n = len(plan.order)
     forced = {}
-    for k, c in plan.consts:
+    for c, p in d.const_conjuncts:
         v = getattr(b, c)
-        if forced.setdefault(k, v) != v:
+        if forced.setdefault(p, v) != v:
             return None
-    b_elems = list(b.elements)
-    cands = _injective_domains(plan, forced, b, sig, b_elems)
+    cands = _injective_domains(a, d, forced, b, sig)
     if cands is None:
         return None
+    binary = {m for _, m in sig.binary}
     ops = {m: getattr(b, m) for _, m in sig.binary + sig.unary}
-    binary = [[(ops[m], es) for m, es in level] for level in plan.binary]
-    unary = [[(ops[m], es) for m, es in level] for level in plan.unary]
-    values = [None] * n
+    watch = [[(ops[m], m in binary, cs) for m, cs in level]
+             for level in d.watch]
+    order = d.order
+    n = len(order)
+    values = [None] * n     # by diagram position
     next_try = [0] * n
     used = set()
     k = 0
     while k < n:
         row = cands[k]
+        p = order[k]
         i = next_try[k]
         while i < len(row):
             v = row[i]
             i += 1
             if v in used:
                 continue
-            values[k] = v
-            if _entries_hold(values, binary[k], unary[k]):
+            values[p] = v
+            if _conjuncts_hold(values, watch[k]):
                 break
         else:
-            # no value left here: retry the previous position
+            # no value left here: retry the previous rank
             k -= 1
             if k < 0:
                 return None
-            used.discard(values[k])
+            used.discard(values[order[k]])
             continue
         next_try[k] = i
         used.add(v)
         k += 1
         if k < n:
             next_try[k] = 0
-    return dict(zip(plan.order, values))
+    return dict(zip(d.variables, values))
 
 
-def _entries_hold(values, binary, unary) -> bool:
-    for fb, entries in binary:
-        for px, py, pr in entries:
-            if fb(values[px], values[py]) != values[pr]:
-                return False
-    for fb, entries in unary:
-        for px, pr in entries:
-            if fb(values[px]) != values[pr]:
-                return False
+def _conjuncts_hold(values, level) -> bool:
+    for fb, binary, conjuncts in level:
+        if binary:
+            for _, (px, py), pr in conjuncts:
+                if fb(values[px], values[py]) != values[pr]:
+                    return False
+        else:
+            for _, (px,), pr in conjuncts:
+                if fb(values[px]) != values[pr]:
+                    return False
     return True
 
 
@@ -433,15 +429,13 @@ def embedding_by_diagram(a, b, sig):
     and finds the same map.
     """
     sig = get_signature(sig)
-    info = si_structure(a, sig)
-    if not info.is_si:
+    d = build_diagram(a, sig)
+    if d.mu is None:
         raise NotSI("diagram criterion needs an SI source")
     hom = search_hom(a, b, sig)
     if hom is None:
         return None
-    d = build_diagram(a, sig)
-    values = tuple(hom[e] for e in d.variables)
-    asg = Assignment(b, values)
+    asg = Assignment(b, tuple(hom[e] for e in d.variables))
     if eval_diagram(d, asg) != b.one:
         raise SignatureMismatch("diagram value is not 1 on a homomorphism")
     return asg
@@ -451,18 +445,16 @@ def delta_power_witness(a, b, i: int, sig, candidates=()):
     """Assignment with the i-fold delta of the diagram not below the
     monolith-bottom variable, or None after exhaustive search."""
     sig = get_signature(sig)
-    info = si_structure(a, sig)
-    if not info.is_si:
-        raise NotSI("witness needs an SI source")
     d = build_diagram(a, sig)
-    mu_pos = d.position(info.mu_bottom)
+    if d.mu is None:
+        raise NotSI("witness needs an SI source")
 
     def check(values):
         asg = Assignment(b, tuple(values))
         val = eval_diagram(d, asg)
         for _ in range(i):
             val = sig.delta(b, val)
-        if not b.leq(val, values[mu_pos]):
+        if not b.leq(val, values[d.mu]):
             return asg
         return None
 
@@ -638,6 +630,8 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
                                 fence_for_target, never_maps_onto_check)
 
     sig.require(a)
+    if a.size == 1:     # its dual is empty
+        raise NotSI("witness suite needs an SI algebra")
     a = _as_up_set_algebra(a)
     if a.size <= 3:
         return WitnessReport(sig.tag, a.size, exempt=True,

@@ -22,7 +22,8 @@ class UpSetAlgebra:
     Elements are up-set bitmasks.  The operations are total and follow
     the down-/up-closure formulas of the finite duality; ``elements`` is
     only materialised on demand since carriers can be large.  ``_plans``
-    holds the compiled embedding-search plans of the algebra as a source.
+    holds the algebra's term diagram per signature and its delta-indices,
+    each built once.
     """
 
     __slots__ = ("base", "one", "_elements", "_plans")

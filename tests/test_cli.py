@@ -609,3 +609,20 @@ def test_witness_on_a_disconnected_poset_names_connectedness(tmp_path,
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "invalid: x must be connected\n", (k, sig)
+
+
+def test_witness_on_a_one_element_algebra_names_si(tmp_path, capsys):
+    # the one-element algebra is not SI in any signature, and its dual
+    # poset is empty: every signature gives the cirl side's reason
+    trivial = {"size": 1, "meet": [[0]], "join": [[0]], "arrow": [[0]],
+               "zero": 0, "one": 0}
+    objs = {"hplus": dict(trivial, kind="hplus", dpc=[0]),
+            "dheyting": dict(trivial, kind="dheyting", coarrow=[[0]]),
+            "cirl": dict(trivial, kind="cirl", mul=[[0]])}
+    for sig, obj in objs.items():
+        path = write(tmp_path, f"{sig}.json", obj)
+        assert cli.run(["witness", path, "--sig", sig]) == 1, sig
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "invalid: witness suite needs an SI algebra\n", sig

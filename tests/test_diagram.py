@@ -7,7 +7,7 @@ from conftest import (all_lattices, all_posets, enumerate_cirls, oracle_in_hs,
                       oracle_monolith_info, oracle_search_hom)
 from splitbench.cli import algebra_from_json, upalgebra_to_json
 from splitbench.diagram import (CIRL, DHEYTING, HPLUS, KINDS, Assignment,
-                                TableAlgebra, _search_plan, build_diagram,
+                                TableAlgebra, build_diagram,
                                 delta_power_witness, embedding_by_diagram,
                                 eval_diagram, get_signature, in_hs,
                                 search_embedding, search_hom, si_structure,
@@ -135,9 +135,9 @@ def test_search_hom_matches_rescanning_oracle():
 
 def test_search_plan_watches_each_diagram_conjunct_once():
     # the sources of test_search_hom_matches_rescanning_oracle: each
-    # conjunct of the diagram is on the plan's watch list exactly once,
-    # at the rank position of the last of its elements, and each constant
-    # sits at its diagram position
+    # conjunct of the diagram is on its watch lists exactly once, under
+    # its own method, at the rank of the last of its variables, and the
+    # placement order is a permutation of the positions
     sources = [(a, CIRL) for lat in all_lattices(5)
                for a in enumerate_cirls(lat) if monolith_info(a).is_si]
     sources += [(wajsberg_hoop(n), CIRL) for n in range(2, 9)]
@@ -146,18 +146,93 @@ def test_search_plan_watches_each_diagram_conjunct_once():
     assert len(sources) == 35 + 7 + 2 * 5
     for a, sig in sources:
         d = build_diagram(a, sig)
-        plan = _search_plan(a, sig)
-        want = Counter((meth, tuple(d.variables[p] for p in args + (res,)))
-                       for meth, args, res in d.conjuncts)
+        assert sorted(d.order) == list(range(d.var_count))
+        rank = {p: k for k, p in enumerate(d.order)}
         got = Counter()
-        for k, level in enumerate(zip(plan.binary, plan.unary)):
-            for meth, entries in level[0] + level[1]:
-                for entry in entries:
-                    assert max(entry) == k
-                    got[meth, tuple(plan.order[p] for p in entry)] += 1
-        assert got == want
-        assert {c: plan.order[k] for k, c in plan.consts} == \
-            {c: d.variables[p] for c, p in d.const_conjuncts}
+        for k, level in enumerate(d.watch):
+            for meth, conjuncts in level:
+                for c in conjuncts:
+                    assert c[0] == meth
+                    assert max(rank[p] for p in c[1] + (c[2],)) == k
+                    got[c] += 1
+        assert got == Counter(d.conjuncts)
+
+
+def _not_si_sources():
+    # fresh algebras: every non-SI CIRL on a lattice of at most five
+    # elements, and Up(2-antichain), the four-element Boolean algebra
+    cases = [(c, CIRL) for lat in all_lattices(5) for c in enumerate_cirls(lat)
+             if not monolith_info(c).is_si]
+    boolean4 = build_poset(2, [])
+    cases += [(up_set_algebra(boolean4), sig) for sig in (HPLUS, DHEYTING)]
+    assert [(a.size, sig.tag) for a, sig in cases] == \
+        [(1, "cirl"), (4, "cirl"), (5, "cirl"), (4, "hplus"), (4, "dheyting")]
+    return cases
+
+
+def test_not_si_sources_are_refused_fresh_and_compiled():
+    refusals = (lambda a, sig: embedding_by_diagram(a, a, sig),
+                lambda a, sig: delta_power_witness(a, a, 0, sig))
+    for first in refusals:
+        cases = _not_si_sources()
+        for a, sig in cases:
+            with pytest.raises(NotSI):
+                first(a, sig)
+        for a, sig in cases:
+            assert search_hom(a, a, sig) == {e: e for e in a.elements}
+            for refuse in refusals:
+                with pytest.raises(NotSI):
+                    refuse(a, sig)
+
+
+def test_each_algebra_is_compiled_once(monkeypatch):
+    from splitbench import diagram
+
+    a, b = wajsberg_hoop(3), wajsberg_hoop(5)
+    assert build_diagram(b, CIRL) is build_diagram(b, CIRL)
+    si_calls = []
+    indices = {}    # (algebra id, tag) -> every index returned, kept alive
+    si_structure, delta_indices = diagram.si_structure, diagram._delta_indices
+
+    def counting_si(alg, sig):
+        si_calls.append(alg)
+        return si_structure(alg, sig)
+
+    def recording_delta(alg, sig):
+        index = delta_indices(alg, sig)
+        indices.setdefault((id(alg), sig.tag), []).append(index)
+        return index
+
+    monkeypatch.setattr(diagram, "si_structure", counting_si)
+    monkeypatch.setattr(diagram, "_delta_indices", recording_delta)
+    got = [embedding_by_diagram(a, b, CIRL).values for _ in range(3)]
+    assert got[0] == got[1] == got[2]
+    assert si_calls == [a]
+    # one index per algebra and signature, however often it is asked for
+    up = up_set_algebra(build_poset(3, [(0, 1), (2, 1)]))
+    for sig in (HPLUS, DHEYTING):
+        assert search_hom(up, up, sig) == search_hom(up, up, sig)
+    assert build_diagram(up, HPLUS) is not build_diagram(up, DHEYTING)
+    assert sorted(indices) == sorted([(id(a), "cirl"), (id(b), "cirl"),
+                                      (id(up), "hplus"), (id(up), "dheyting")])
+    for got in indices.values():
+        assert len(got) > 1 and all(index is got[0] for index in got)
+
+
+def test_a_compiled_table_is_freed_by_reference_counting():
+    import gc
+    import weakref
+
+    a = wajsberg_hoop(4)
+    assert embedding_by_diagram(a, wajsberg_hoop(7), CIRL) is not None
+    assert build_diagram(a, CIRL).mu is not None
+    ref = weakref.ref(a)
+    gc.disable()
+    try:
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _trivial_hplus():
