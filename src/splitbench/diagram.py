@@ -626,7 +626,7 @@ def _first_prime_at_least(n: int) -> int:
 
 def _witness_suite_order(a, i_max, sig) -> WitnessReport:
     from .duality import _as_up_set_algebra
-    from .hplus_witness import (build_witness_algebra, diagram_final_check,
+    from .hplus_witness import (build_witness_algebra, diagram_final_check_on,
                                 fence_for_target, never_maps_onto_check)
 
     sig.require(a)
@@ -645,7 +645,7 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
     report = WitnessReport(sig.tag, a.size, exempt=False, note="")
     for i in range(i_max + 1):
         w = build_witness_algebra(x, fence, i)
-        value = diagram_final_check(w, sig.tag)
+        value = diagram_final_check_on(a, w, sig.tag)
         not_onto = never_maps_onto_check(x, fence, i + 2)
         carrier = w.carrier.size
         report.entries.append(WitnessEntry(

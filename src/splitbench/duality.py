@@ -23,10 +23,15 @@ class UpSetAlgebra:
     the down-/up-closure formulas of the finite duality; ``elements`` is
     only materialised on demand since carriers can be large.  ``_plans``
     holds the algebra's term diagram per signature and its delta-indices,
-    each built once.
+    each built once.  ``_neg`` and ``_dpc`` memoize the two
+    pseudocomplements, keyed by the argument mask, so ``delta`` and
+    ``sigma`` share them; on up-set arguments each holds at most |Up(X)|
+    entries.  A mask outside the carrier raises RangeError and is not
+    cached.  ``arrow`` and ``coarrow`` are never cached: their closure
+    argument u & ~v ranges over all 2^|X| subsets.
     """
 
-    __slots__ = ("base", "one", "_elements", "_plans")
+    __slots__ = ("base", "one", "_elements", "_plans", "_neg", "_dpc")
 
     zero = bottom = 0
 
@@ -35,6 +40,8 @@ class UpSetAlgebra:
         self.one = base.all_mask
         self._elements = None
         self._plans = {}
+        self._neg = {}
+        self._dpc = {}
 
     # -- carrier ---------------------------------------------------------
 
@@ -63,10 +70,16 @@ class UpSetAlgebra:
         return u | v
 
     def neg(self, u: int) -> int:
-        return self.one & ~self.base.down_mask(u)
+        r = self._neg.get(u)
+        if r is None:
+            r = self._neg[u] = self.one & ~self.base.down_mask(u)
+        return r
 
     def dpc(self, u: int) -> int:
-        return self.base.up_mask(self.one & ~u)
+        r = self._dpc.get(u)
+        if r is None:
+            r = self._dpc[u] = self.base.up_mask(self.one & ~u)
+        return r
 
     def arrow(self, u: int, v: int) -> int:
         return self.one & ~self.base.down_mask(u & ~v)
@@ -331,15 +344,19 @@ def katrinak_arrow(alg: UpSetAlgebra, u: int, v: int) -> int:
     """The Heyting arrow recovered from the two pseudocomplements.
 
     Only valid over bases of height <= 1 (the regular case); the result
-    coincides with the algebra's arrow table there.
+    coincides with the algebra's arrow table there.  The term is the meet
+    of neg(neg(neg(u) | neg(neg(v)))) and dpc(u | neg(u)) | neg(u) | v |
+    neg(v), meet and join being & and | on up-sets; each subterm is
+    evaluated once.
     """
     x = alg.base
     if (x.minimals() | x.maximals()) != x.all_mask:
         raise NotRegular("base has an element that is neither minimal nor maximal")
-    n, s, m, j = alg.neg, alg.dpc, alg.meet, alg.join
-    left = n(n(j(n(u), n(n(v)))))
-    right = j(j(j(s(j(u, n(u))), n(u)), v), n(v))
-    return m(left, right)
+    n, s = alg.neg, alg.dpc
+    nu, nv = n(u), n(v)
+    left = n(n(nu | n(nv)))
+    right = s(u | nu) | nu | v | nv
+    return left & right
 
 
 def generate_subalgebra(alg, gens, signature: str = "hplus") -> set:

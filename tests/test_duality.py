@@ -4,7 +4,8 @@ import pytest
 
 from conftest import (all_lattices, all_posets, antichain, chain, crown4,
                       enumerate_cirls, fence, lattices_isomorphic,
-                      oracle_dp_congruences, vee)
+                      oracle_down_mask, oracle_dp_congruences, oracle_up_mask,
+                      vee)
 from splitbench import cli
 from splitbench.duality import (CONGRUENCE_CAP, PosetMap, UpSetAlgebra,
                                 birkhoff_map, classify_algebra, classify_map,
@@ -13,9 +14,9 @@ from splitbench.duality import (CONGRUENCE_CAP, PosetMap, UpSetAlgebra,
                                 katrinak_arrow, never_maps_onto,
                                 up_set_algebra, varlet_report)
 from splitbench.errors import (BadParameter, NotDistributive, NotRegular,
-                               SizeError)
+                               RangeError, SizeError)
 from splitbench.lattice import FinLattice, up_set_lattice
-from splitbench.poset import (DoublePointedPoset, bits, build_poset,
+from splitbench.poset import (DoublePointedPoset, FinPoset, bits, build_poset,
                               canonical_key, enumerate_up_sets, find_tails,
                               is_connected, is_fence, popcount, power_chain,
                               searrow)
@@ -46,6 +47,65 @@ def test_dual_operation_formulas_directly():
             if any(f.leq(j, i) for j in bits(f.all_mask & ~u)):
                 up_cu |= 1 << i
         assert alg.dpc(u) == up_cu
+
+
+def test_pseudocomplement_memos_match_the_row_formulas():
+    # each operation on a fresh algebra, over every in-range mask (up-sets
+    # or not), twice: the second call reads the memo
+    for p in all_posets(4):
+        one = p.all_mask
+
+        def neg(u):
+            return one & ~oracle_down_mask(p, u)
+
+        def dpc(u):
+            return oracle_up_mask(p, one & ~u)
+
+        raw = {"neg": neg, "dpc": dpc,
+               "delta": lambda u: neg(dpc(u)), "sigma": lambda u: dpc(neg(u))}
+        for name, formula in raw.items():
+            op = getattr(UpSetAlgebra(p), name)
+            for _ in range(2):
+                for u in range(one + 1):
+                    assert op(u) == formula(u), (name, p.up, u)
+        alg = UpSetAlgebra(p)
+        for u in (one + 1, -1):
+            for _ in range(2):
+                with pytest.raises(RangeError):
+                    alg.neg(u)
+
+
+def test_pseudocomplement_memos_belong_to_their_algebra():
+    # the same mask over two bases: the chain 0 < 1 and the 2-antichain
+    c, a = UpSetAlgebra(chain(2)), UpSetAlgebra(antichain(2))
+    for _ in range(2):
+        assert (c.neg(0b10), a.neg(0b10)) == (0, 0b01)
+        assert (a.dpc(0b10), c.dpc(0b10)) == (0b01, 0b11)
+
+
+def test_katrinak_arrow_computes_each_pseudocomplement_once(monkeypatch):
+    # on a regular base all-pairs katrinak_arrow only passes up-sets to
+    # neg and dpc, so each closure runs at most once per up-set
+    calls = {"down_mask": 0, "up_mask": 0}
+    for name in calls:
+        orig = getattr(FinPoset, name)
+
+        def counted(self, s, name=name, orig=orig):
+            calls[name] += 1
+            return orig(self, s)
+
+        monkeypatch.setattr(FinPoset, name, counted)
+    regular = [p for p in all_posets(5, dedupe=True)
+               if p.minimals() | p.maximals() == p.all_mask]
+    assert len(regular) == 37
+    for p in regular:
+        alg = up_set_algebra(p)
+        for name in calls:
+            calls[name] = 0
+        for u in alg.elements:
+            for v in alg.elements:
+                katrinak_arrow(alg, u, v)
+        assert max(calls.values()) <= alg.size, (p.up, calls)
 
 
 def test_dual_poset_examples():
