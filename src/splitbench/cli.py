@@ -322,7 +322,8 @@ def _cmd_diagram(args):
     value = diagram_mod.eval_diagram(d, identity)
     _emit({"schema": SCHEMA, "command": "diagram", "sig": sig.tag,
            "variables": d.var_count,
-           "conjuncts": len(d.conjuncts) + len(d.const_conjuncts),
+           "conjuncts": len(d.const_conjuncts) + sum(
+               len(cs) for level in d.watch for _, _, cs in level),
            "identity_value_is_one": value == alg.one})
     return 0
 

@@ -98,16 +98,16 @@ def get_signature(sig) -> Signature:
 @dataclass(frozen=True)
 class TermDiagram:
     """A source compiled once per signature: its term diagram, with the
-    monolith-bottom variable and the search's placement order.  Each
-    conjunct is watched at the rank of the last of its variables."""
+    monolith-bottom variable and the search's placement order.  ``watch``
+    is the one store of the operation conjuncts: each table entry once,
+    flat, at the rank of the last of its variables."""
 
     signature: Signature
     variables: tuple          # source elements, one variable each
-    conjuncts: tuple          # (method, arg positions, result position)
     const_conjuncts: tuple    # (const attr, position)
     mu: int | None            # monolith bottom's position; None unless SI
     order: tuple              # positions in rank order, as placed
-    watch: tuple              # per rank: ((method, conjuncts), ...)
+    watch: tuple              # per rank: ((method, binary, conjuncts), ...)
 
     @property
     def var_count(self) -> int:
@@ -124,9 +124,9 @@ class Assignment:
 
 
 def build_diagram(a, sig) -> TermDiagram:
-    """The term diagram of a, built on first use and kept in a's
-    ``_plans`` under the signature's tag.  It holds no reference to a,
-    so a compiled algebra is still freed by reference counting."""
+    """Compile a's term diagram once, into a's ``_plans`` under the
+    signature's tag: one flat conjunct per table entry, watched at its last
+    rank.  It holds no reference to a, so a is still freed by refcounting."""
     sig = get_signature(sig)
     d = a._plans.get(sig.tag)
     if d is not None:
@@ -137,32 +137,29 @@ def build_diagram(a, sig) -> TermDiagram:
     order = tuple(pos[e] for e in _rank_order(a))
     rank = sorted(range(len(order)), key=order.__getitem__)   # order^-1
     # per method, per rank: the conjuncts whose last variable sits there
-    at = {m: [[] for _ in order] for _, m in sig.binary + sig.unary}
-    conjuncts = []
+    at = {m: (True, [[] for _ in order]) for _, m in sig.binary}
+    at.update((m, (False, [[] for _ in order])) for _, m in sig.unary)
     for _, meth in sig.binary:
-        fn, by_rank = getattr(a, meth), at[meth]
+        fn, by_rank = getattr(a, meth), at[meth][1]
         for x in elements:
             px = pos[x]
             rx = rank[px]
             for y in elements:
                 py, pr = pos[y], pos[fn(x, y)]
-                c = (meth, (px, py), pr)
-                conjuncts.append(c)
                 # the last rank; a max() call here cost a quarter of the build
                 r = rank[py] if rank[py] > rx else rx
-                by_rank[r if r > rank[pr] else rank[pr]].append(c)
+                by_rank[r if r > rank[pr] else rank[pr]].append((px, py, pr))
     for _, meth in sig.unary:
-        fn, by_rank = getattr(a, meth), at[meth]
+        fn, by_rank = getattr(a, meth), at[meth][1]
         for x in elements:
             px, pr = pos[x], pos[fn(x)]
-            c = (meth, (px,), pr)
-            conjuncts.append(c)
-            by_rank[max(rank[px], rank[pr])].append(c)
+            by_rank[max(rank[px], rank[pr])].append((px, pr))
     const_conjuncts = tuple((c, pos[getattr(a, c)]) for c in sig.consts)
     info = si_structure(a, sig)
-    watch = tuple(tuple((m, tuple(by_rank[k])) for m, by_rank in at.items()
-                        if by_rank[k]) for k in range(len(order)))
-    d = TermDiagram(sig, elements, tuple(conjuncts), const_conjuncts,
+    watch = tuple(tuple((m, binary, tuple(by_rank[k]))
+                        for m, (binary, by_rank) in at.items() if by_rank[k])
+                  for k in range(len(order)))
+    d = TermDiagram(sig, elements, const_conjuncts,
                     pos[info.mu_bottom] if info.is_si else None,
                     order, watch)
     a._plans[sig.tag] = d
@@ -183,12 +180,14 @@ def eval_diagram(d: TermDiagram, asg: Assignment):
         out = b.meet(out, sig.iff(b, vals[p], getattr(b, cname)))
         if out == bottom:
             return out
-    for meth, args, res in d.conjuncts:
-        fn = getattr(b, meth)
-        val = fn(*[vals[i] for i in args])
-        out = b.meet(out, sig.iff(b, vals[res], val))
-        if out == bottom:
-            return out
+    for level in d.watch:
+        for meth, binary, conjuncts in level:
+            fn = getattr(b, meth)
+            for c in conjuncts:
+                val = fn(vals[c[0]], vals[c[1]]) if binary else fn(vals[c[0]])
+                out = b.meet(out, sig.iff(b, vals[c[-1]], val))
+                if out == bottom:
+                    return out
     return out
 
 
@@ -360,9 +359,7 @@ def search_hom(a, b, sig):
     cands = _injective_domains(a, d, forced, b, sig)
     if cands is None:
         return None
-    binary = {m for _, m in sig.binary}
-    ops = {m: getattr(b, m) for _, m in sig.binary + sig.unary}
-    watch = [[(ops[m], m in binary, cs) for m, cs in level]
+    watch = [[(getattr(b, m), binary, cs) for m, binary, cs in level]
              for level in d.watch]
     order = d.order
     n = len(order)
@@ -400,11 +397,11 @@ def search_hom(a, b, sig):
 def _conjuncts_hold(values, level) -> bool:
     for fb, binary, conjuncts in level:
         if binary:
-            for _, (px, py), pr in conjuncts:
+            for px, py, pr in conjuncts:
                 if fb(values[px], values[py]) != values[pr]:
                     return False
         else:
-            for _, (px,), pr in conjuncts:
+            for px, pr in conjuncts:
                 if fb(values[px]) != values[pr]:
                     return False
     return True
@@ -625,9 +622,9 @@ def _first_prime_at_least(n: int) -> int:
 
 
 def _witness_suite_order(a, i_max, sig) -> WitnessReport:
-    from .duality import _as_up_set_algebra
+    from .duality import _as_up_set_algebra, never_maps_onto
     from .hplus_witness import (build_witness_algebra, diagram_final_check_on,
-                                fence_for_target, never_maps_onto_check)
+                                fence_for_target)
 
     sig.require(a)
     if a.size == 1:     # its dual is empty
@@ -646,7 +643,7 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
     for i in range(i_max + 1):
         w = build_witness_algebra(x, fence, i)
         value = diagram_final_check_on(a, w, sig.tag)
-        not_onto = never_maps_onto_check(x, fence, i + 2)
+        not_onto = never_maps_onto(w.carrier.poset, x.poset)
         carrier = w.carrier.size
         report.entries.append(WitnessEntry(
             i=i,

@@ -78,7 +78,8 @@ class UpSetAlgebra:
     def dpc(self, u: int) -> int:
         r = self._dpc.get(u)
         if r is None:
-            r = self._dpc[u] = self.base.up_mask(self.one & ~u)
+            # one ^ u keeps u's bits outside the carrier, which up_mask refuses
+            r = self._dpc[u] = self.base.up_mask(self.one ^ u)
         return r
 
     def arrow(self, u: int, v: int) -> int:

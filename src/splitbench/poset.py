@@ -1,11 +1,12 @@
 """Finite ordered sets.
 
 Elements are the indices 0..n-1 and subsets are Python ints used as
-bitmasks, so all order computations are mask arithmetic.  Input posets
-are capped at MAX_POSET_SIZE elements, which keeps the Warshall-style
-closure instant.  Orders built inside the package can be larger: the
-CIRL lattices of the witness suite reach 89 elements, and up-set
-lattices are capped only by their up-set count.
+bitmasks, so all order computations are mask arithmetic.  Every order
+built by ``build_poset`` is capped at MAX_POSET_SIZE elements, which
+keeps the Warshall-style closure instant; that includes the glued
+carriers of ``searrow`` and ``power_chain``.  Orders built from their
+rows can be larger: the CIRL lattices of the witness suite reach 89
+elements, and up-set lattices are capped only by their up-set count.
 """
 
 from dataclasses import dataclass, field
@@ -158,9 +159,6 @@ class FinPoset:
 
     def is_up_set(self, s: int) -> bool:
         return not s & ~self.all_mask and self.up_mask(s) == s
-
-    def dual(self) -> "FinPoset":
-        return FinPoset(self.down)
 
     def restrict(self, s: int) -> tuple["FinPoset", list[int]]:
         """Induced sub-order on the elements of s, with the element list."""

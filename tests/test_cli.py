@@ -431,6 +431,21 @@ def test_witness_and_diagram_keep_the_poset_cap(tmp_path, capsys,
         capsys.readouterr()
 
 
+def test_glued_carriers_keep_the_builder_cap(tmp_path, capsys):
+    # --n 2 glues four copies of the 5-chain and a 6-point fence: 26 points
+    chain5 = write(tmp_path, "c5.json",
+                   {"kind": "poset", "size": 5,
+                    "le": [[0, 1], [1, 2], [2, 3], [3, 4]],
+                    "bot": 0, "top": 4})
+    start = time.perf_counter()
+    assert cli.run(["--max-poset", "100", "hwitness", chain5, "auto",
+                    "--n", "2"]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "poset size 26 exceeds cap 24" in captured.err
+
+
 def test_witness_refuses_tables_without_the_operations(tmp_path, capsys):
     up = up_set_algebra(build_poset(4, [(0, 1), (2, 1), (2, 3)]))
     tables = {kind: cli.upalgebra_to_json(up, kind)

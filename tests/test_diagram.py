@@ -27,11 +27,35 @@ def test_signature_dispatch():
         build_diagram(c3, HPLUS)
 
 
+def _watched_conjuncts(a, sig, d) -> int:
+    # the watch lists against a's own operations: per method, each
+    # argument tuple once, with the position of the operation's value, at
+    # the rank of the last of its variables; returns how many there are
+    pos = {e: p for p, e in enumerate(d.variables)}
+    rank = {p: k for k, p in enumerate(d.order)}
+    got = Counter()
+    for k, level in enumerate(d.watch):
+        for meth, binary, conjuncts in level:
+            for c in conjuncts:
+                assert len(c) == (3 if binary else 2)
+                assert max(rank[p] for p in c) == k
+                args = tuple(d.variables[p] for p in c[:-1])
+                assert c[-1] == pos[getattr(a, meth)(*args)]
+                got[meth, c[:-1]] += 1
+    want = Counter((meth, args) for arity, ops in ((2, sig.binary),
+                                                  (1, sig.unary))
+                   for _, meth in ops
+                   for args in itertools.product(range(d.var_count),
+                                                 repeat=arity))
+    assert got == want
+    return sum(got.values())
+
+
 def test_diagram_shape_and_identity_value():
     c3 = wajsberg_hoop(3)
     d = build_diagram(c3, CIRL)
     assert d.var_count == 3
-    assert len(d.conjuncts) == 4 * 9
+    assert _watched_conjuncts(c3, CIRL, d) == 4 * 9
     assert eval_diagram(d, Assignment(c3, tuple(c3.elements))) == c3.one
 
     alg = up_set_algebra(build_poset(2, [(0, 1)]))
@@ -135,7 +159,7 @@ def test_search_hom_matches_rescanning_oracle():
 
 def test_search_plan_watches_each_diagram_conjunct_once():
     # the sources of test_search_hom_matches_rescanning_oracle: each
-    # conjunct of the diagram is on its watch lists exactly once, under
+    # table entry of the source is on its watch lists exactly once, under
     # its own method, at the rank of the last of its variables, and the
     # placement order is a permutation of the positions
     sources = [(a, CIRL) for lat in all_lattices(5)
@@ -147,15 +171,9 @@ def test_search_plan_watches_each_diagram_conjunct_once():
     for a, sig in sources:
         d = build_diagram(a, sig)
         assert sorted(d.order) == list(range(d.var_count))
-        rank = {p: k for k, p in enumerate(d.order)}
-        got = Counter()
-        for k, level in enumerate(d.watch):
-            for meth, conjuncts in level:
-                for c in conjuncts:
-                    assert c[0] == meth
-                    assert max(rank[p] for p in c[1] + (c[2],)) == k
-                    got[c] += 1
-        assert got == Counter(d.conjuncts)
+        n = d.var_count
+        assert _watched_conjuncts(a, sig, d) == \
+            len(sig.binary) * n * n + len(sig.unary) * n
 
 
 def _not_si_sources():

@@ -69,10 +69,13 @@ def test_pseudocomplement_memos_match_the_row_formulas():
                 for u in range(one + 1):
                     assert op(u) == formula(u), (name, p.up, u)
         alg = UpSetAlgebra(p)
-        for u in (one + 1, -1):
-            for _ in range(2):
-                with pytest.raises(RangeError):
-                    alg.neg(u)
+        for name in raw:
+            for u in (one + 1, -1):
+                for _ in range(2):
+                    with pytest.raises(RangeError):
+                        getattr(alg, name)(u)
+        assert not any(u & ~one for u in alg._dpc)
+        assert not any(u & ~one for u in alg._neg)
 
 
 def test_pseudocomplement_memos_belong_to_their_algebra():
