@@ -470,23 +470,43 @@ def delta_power_witness(a, b, i: int, sig, candidates=()):
     return None
 
 
+class FibreQuotient:
+    """b modulo the congruence of a delta-fixed g: x ~ y iff g·x = g·y.
+
+    As g·(g·x) = g·x, the element g·x names the class of x, and g·(x * y)
+    names the class of x * y.  So the quotient is g·B, with each operation
+    of b followed by g·.  The view holds only what ``search_embedding``
+    reads: no lattice, no tables and no law re-check.
+    """
+
+    def __init__(self, b, sig, g):
+        prod = getattr(b, sig.product)
+        self.elements = list(dict.fromkeys(prod(g, x) for x in b.elements))
+        self.size = len(self.elements)
+        for _, meth in sig.binary:
+            fn = getattr(b, meth)
+            setattr(self, meth, lambda x, y, fn=fn: prod(g, fn(x, y)))
+        for _, meth in sig.unary:
+            fn = getattr(b, meth)
+            setattr(self, meth, lambda x, fn=fn: prod(g, fn(x)))
+        for c in sig.consts:
+            setattr(self, c, prod(g, getattr(b, c)))
+        self._plans = {}
+
+
 def in_hs(a, b, sig) -> bool:
     """True iff a embeds into some quotient of b.
 
     Each delta-fixed g of b (an idempotent, for CIRLs) has the congruence
     g <= iff(x, y), which is g·x = g·y for the signature's product ·, so
     its quotient has |{g·x}| elements.  The g are tried by that count,
-    largest first, until it falls below |a|; g = 1 gives b itself.  A
-    CIRL quotient is ``quotient``; for the order signatures b is dualized
-    once and the quotient by an up-set G is Up(G) (Priestley 1975).
+    largest first, until it falls below |a|; g = 1 gives b itself, and
+    any other g its ``FibreQuotient``, in every signature and either
+    representation.
     """
-    from . import duality, residuated
-
     sig = get_signature(sig)
     if a.size == 1:
         return True    # the quotient by the total congruence
-    if sig is not CIRL:
-        b = duality._as_up_set_algebra(b)
     prod, elements = getattr(b, sig.product), list(b.elements)
     classes = {g: len({prod(g, x) for x in elements})
                for g in elements if sig.delta(b, g) == g}
@@ -495,10 +515,8 @@ def in_hs(a, b, sig) -> bool:
             break
         if classes[g] == len(elements):
             q = b
-        elif sig is CIRL:
-            q = residuated.quotient(b, b.lattice.poset.up[g]).algebra
         else:
-            q = duality.up_set_algebra(b.base.restrict(g)[0])
+            q = FibreQuotient(b, sig, g)
         if search_embedding(a, q, sig) is not None:
             return True
     return False

@@ -119,6 +119,8 @@ def dual_poset(lat: FinLattice) -> tuple[FinPoset, list[int]]:
     """
     if not lat.is_distributive():
         raise NotDistributive("dual poset requires a distributive lattice")
+    if lat.size == 1:
+        raise BadParameter("the one-element lattice has an empty dual poset")
     irr = []
     for x in range(lat.size):
         if x == lat.zero:

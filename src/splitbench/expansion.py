@@ -220,6 +220,7 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
     alg = base
     emb = list(range(base.size))
     rounds = 0
+    q_prev = None   # the quotient of alg by its monolith, once built
     while info.depth < k:
         prev, prev_info = alg, info
         step = expand_once(alg, prev_info.coatom)
@@ -231,19 +232,27 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
             raise AxiomError("expansion lost subdirect irreducibility")
         if info.depth < 2 * prev_info.depth:
             raise AxiomError("expansion did not double the monolith depth")
-        _check_monolith_restricts(prev, prev_info, step, info)
+        q_prev = _check_monolith_restricts(prev, prev_info, q_prev, step,
+                                           info)
     return ExpansionResult(alg, emb, rounds, info)
 
 
-def _check_monolith_restricts(prev: CIRLTable, prev_info, step: LpResult,
-                              info) -> None:
-    """Monolith filter of the expansion meets the base in the base's."""
+def _check_monolith_restricts(prev: CIRLTable, prev_info, q_old,
+                              step: LpResult, info) -> CIRLTable:
+    """Monolith filter of the expansion meets the base in the base's.
+
+    ``q_old`` is prev's quotient by its monolith, or None to build it
+    here; the expansion's quotient is returned, to serve as the next
+    round's ``q_old``.
+    """
     restricted = sorted(e for e in range(prev.size)
                         if info.mu_filter & (1 << step.embedding[e]))
     expected = sorted(bits(prev_info.mu_filter))
     if restricted != expected:
         raise AxiomError("monolith does not restrict to the base monolith")
     q_new = quotient(step.algebra, info.mu_filter).algebra
-    q_old = quotient(prev, prev_info.mu_filter).algebra
+    if q_old is None:
+        q_old = quotient(prev, prev_info.mu_filter).algebra
     if not is_isomorphic(q_new, q_old):
         raise AxiomError("quotient by the monolith changed under expansion")
+    return q_new

@@ -113,7 +113,6 @@ class WitnessAlgebra:
     algebra: UpSetAlgebra
     copies: tuple
     left_mask: int
-    y_mask: int
 
 
 def build_witness_algebra(x: DoublePointedPoset, y, n: int) -> WitnessAlgebra:
@@ -127,9 +126,9 @@ def build_witness_algebra(x: DoublePointedPoset, y, n: int) -> WitnessAlgebra:
     z = power_chain(x, n + 2)
     carrier = searrow(
         DoublePointedPoset(z.poset, z.bot, z.top, parts=None), ydp)
-    left, right = _parts_masks(carrier)
+    left, _ = _parts_masks(carrier)
     w = WitnessAlgebra(x, ydp, n, z, carrier, UpSetAlgebra(carrier.poset),
-                       z.parts, left, right)
+                       z.parts, left)
     if not is_connected(carrier.poset):
         raise AxiomError("witness carrier is not connected")
     return w

@@ -230,48 +230,56 @@ def oracle_monolith_info(alg: CIRLTable) -> MonolithInfo:
     return MonolithInfo(True, coatom, mu, mu_bottom, depth)
 
 
+def oracle_table_quotient(b, sig, g):
+    """The quotient of b by the congruence x ~ y iff g <= iff(x, y) of a
+    delta-fixed g, as operation tables on the classes, which are numbered
+    by their first element; returns the map x -> class of x and the
+    quotient as a table algebra."""
+    from splitbench.diagram import TableAlgebra
+
+    reps, proj = [], {}
+    for x in b.elements:
+        for k, r in enumerate(reps):
+            if b.leq(g, sig.iff(b, x, r)):
+                proj[x] = k
+                break
+        else:
+            proj[x] = len(reps)
+            reps.append(x)
+    n = len(reps)
+    tables = {}
+    for key, meth in sig.binary:
+        fn = getattr(b, meth)
+        tables[key] = [[proj[fn(r, s)] for s in reps] for r in reps]
+    for key, meth in sig.unary:
+        fn = getattr(b, meth)
+        tables[key] = [proj[fn(r)] for r in reps]
+    meet = tables["meet"]
+    rows = [sum(1 << j for j in range(n) if meet[i][j] == i)
+            for i in range(n)]
+    q = TableAlgebra(sig.tag, FinLattice(FinPoset(rows)), tables,
+                     {c: proj[getattr(b, c)] for c in sig.consts})
+    return proj, q
+
+
 def oracle_in_hs(a, b, sig) -> bool:
     """HS membership through table quotients of b, in every diagram
     signature.
 
     Each delta-fixed element g (for cirl, each idempotent) gives the
     congruence x ~ y iff g <= iff(x, y); the quotient is built as
-    operation tables on the classes and searched for an embedding of a.
+    operation tables on the classes (``oracle_table_quotient``) and
+    searched for an embedding of a.
     """
-    from splitbench.diagram import (TableAlgebra, get_signature,
-                                    search_embedding)
+    from splitbench.diagram import search_embedding
 
     sig = get_signature(sig)
-    elements = list(b.elements)
     a_n = len(list(a.elements))
-    for g in elements:
+    for g in b.elements:
         if sig.delta(b, g) != g:
             continue
-        reps, proj = [], {}
-        for x in elements:
-            for k, r in enumerate(reps):
-                if b.leq(g, sig.iff(b, x, r)):
-                    proj[x] = k
-                    break
-            else:
-                proj[x] = len(reps)
-                reps.append(x)
-        n = len(reps)
-        if a_n > n:
-            continue
-        tables = {}
-        for key, meth in sig.binary:
-            fn = getattr(b, meth)
-            tables[key] = [[proj[fn(r, s)] for s in reps] for r in reps]
-        for key, meth in sig.unary:
-            fn = getattr(b, meth)
-            tables[key] = [proj[fn(r)] for r in reps]
-        meet = tables["meet"]
-        rows = [sum(1 << j for j in range(n) if meet[i][j] == i)
-                for i in range(n)]
-        q = TableAlgebra(sig.tag, FinLattice(FinPoset(rows)), tables,
-                         {c: proj[getattr(b, c)] for c in sig.consts})
-        if search_embedding(a, q, sig) is not None:
+        _, q = oracle_table_quotient(b, sig, g)
+        if a_n <= q.size and search_embedding(a, q, sig) is not None:
             return True
     return False
 

@@ -214,6 +214,34 @@ def test_dual_and_upalg(tmp_path, capsys, fence4):
     assert code == 0 and out["size"] == 4
 
 
+def test_dual_of_a_one_element_input_names_the_lattice(tmp_path, capsys):
+    # a one-element poset, or table, has no join-irreducibles to dualize
+    point = write(tmp_path, "point.json",
+                  {"kind": "poset", "size": 1, "le": []})
+    trivial = write(tmp_path, "trivial.json",
+                    {"kind": "hplus", "size": 1, "meet": [[0]],
+                     "join": [[0]], "arrow": [[0]], "dpc": [0],
+                     "zero": 0, "one": 0})
+    for path in (point, trivial):
+        assert cli.run(["dual", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "invalid: the one-element lattice has an empty dual poset\n"
+
+
+def test_analyze_of_a_one_element_dp_table_names_the_lattice(tmp_path,
+                                                             capsys):
+    trivial = write(tmp_path, "dp.json",
+                    {"kind": "dp", "size": 1, "meet": [[0]], "join": [[0]],
+                     "neg": [0], "dpc": [0], "zero": 0, "one": 0})
+    assert cli.run(["analyze", trivial]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "invalid: the one-element lattice has an empty dual poset\n"
+
+
 def test_searrow_powerchain(tmp_path, capsys, chain2):
     code, out = run_cli(capsys, "searrow", chain2, chain2)
     assert code == 0 and out["size"] == 4

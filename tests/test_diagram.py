@@ -329,9 +329,23 @@ def test_in_hs_hplus():
     assert in_hs(trivial, f4, HPLUS) and oracle_in_hs(trivial, f4, HPLUS)
 
 
+def test_in_hs_into_a_one_element_table_is_false():
+    # the one-element target has one quotient, itself, too small for a
+    # two-element source; it used to be dualized into an empty poset
+    point = up_set_algebra(build_poset(1, []))
+    trivial = {"size": 1, "meet": [[0]], "join": [[0]], "arrow": [[0]],
+               "zero": 0, "one": 0}
+    targets = {HPLUS: _trivial_hplus(),
+               DHEYTING: algebra_from_json(dict(trivial, kind="dheyting",
+                                                coarrow=[[0]]))}
+    for sig, b in targets.items():
+        assert not in_hs(point, b, sig)
+        assert not oracle_in_hs(point, b, sig)
+
+
 def test_in_hs_matches_table_quotient_oracle():
-    # Up(G) quotients on the dual against table quotients of b, and the
-    # same answers when b arrives as a JSON table
+    # fibre quotients of b against table quotients of b, and the same
+    # answers when b arrives as a JSON table
     sources = [up_set_algebra(p) for p in all_posets(3, connected_only=True)]
     targets = [up_set_algebra(p) for p in all_posets(4, dedupe=True)]
     assert len(sources) * len(targets) * 2 == 240
@@ -348,26 +362,31 @@ def test_in_hs_matches_table_quotient_oracle():
 
 
 def test_in_hs_builds_no_quotient_smaller_than_a(monkeypatch):
-    # |Up(G)| is counted before Up(G) is built; building first made 282
-    # quotients over these pairs, 170 of them too small to search
-    from splitbench import duality
+    # each g's class count is taken before its FibreQuotient is built;
+    # building first made 282 quotients over these pairs, 170 of them too
+    # small to search, and counting first builds the other 112
+    from splitbench import diagram
 
     sources = [up_set_algebra(p) for p in all_posets(3, connected_only=True)]
     targets = [up_set_algebra(p) for p in all_posets(4, dedupe=True)]
     built = []
+    fibre_quotient = diagram.FibreQuotient
 
-    def counting(p, *args, **kwargs):
-        q = up_set_algebra(p, *args, **kwargs)
+    def counting(*args):
+        q = fibre_quotient(*args)
         built.append(q.size)
         return q
 
-    monkeypatch.setattr(duality, "up_set_algebra", counting)
+    monkeypatch.setattr(diagram, "FibreQuotient", counting)
+    total = 0
     for sig in (HPLUS, DHEYTING):
         for b in targets:
             for a in sources:
                 del built[:]
                 in_hs(a, b, sig)
                 assert all(size >= a.size for size in built), (a, b, sig)
+                total += len(built)
+    assert total == 112
 
 
 def test_witness_suite_cirl_c3():

@@ -7,9 +7,11 @@ from conftest import (all_lattices, all_posets, chain, enumerate_cirls, m3,
                       oracle_congruence_filters,
                       oracle_derive_arrow, oracle_in_hs, oracle_monoid_laws,
                       oracle_monolith_info, oracle_quotient,
+                      oracle_table_quotient,
                       oracle_truncated_product, oracle_validate_cirl,
                       single_cell_mutations)
-from splitbench.cli import algebra_to_json
+from splitbench.cli import (algebra_from_json, algebra_to_json,
+                            upalgebra_to_json)
 from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter, SizeError)
 from splitbench.lattice import FinLattice
@@ -258,6 +260,44 @@ def test_congruences_are_the_fibres_of_g_times_x(monkeypatch):
         assert searched == sorted((k for k in counts if k >= 2),
                                   reverse=True), (b, sig)
     assert fixed == 115 + 7225 + 194 + 194
+
+
+def test_fibre_quotient_matches_table_quotient_oracle():
+    # on every delta-fixed g, the FibreQuotient is the oracle's table
+    # quotient under x -> class of x: the same size, and each operation
+    # and constant gives the one element of the class the oracle names
+    cirls = [c for lat in all_lattices(5) for c in enumerate_cirls(lat)]
+    assert len(cirls) == 38
+    cases = [(b, CIRL) for b in cirls + [got for got, _ in _products()]]
+    ups = [up_set_algebra(p) for p in all_posets(4)]
+    for sig in (HPLUS, DHEYTING):
+        cases += [(b, sig) for b in ups]
+        cases += [(algebra_from_json(upalgebra_to_json(b, sig.tag)), sig)
+                  for b in ups]
+    fixed = 0
+    for b, sig in cases:
+        for g in b.elements:
+            if sig.delta(b, g) != g:
+                continue
+            q = diagram.FibreQuotient(b, sig, g)
+            proj, want = oracle_table_quotient(b, sig, g)
+            assert q.size == want.size, (b, sig, g)
+            element = {proj[x]: x for x in q.elements}
+            assert len(element) == q.size, (b, sig, g)
+            for _, meth in sig.binary:
+                op, table = getattr(q, meth), getattr(want, meth)
+                assert all(op(x, y) == element[table(proj[x], proj[y])]
+                           for x in q.elements for y in q.elements), \
+                    (b, sig, g, meth)
+            for _, meth in sig.unary:
+                op, table = getattr(q, meth), getattr(want, meth)
+                assert all(op(x) == element[table(proj[x])]
+                           for x in q.elements), (b, sig, g, meth)
+            for c in sig.consts:
+                assert getattr(q, c) == element[getattr(want, c)], \
+                    (b, sig, g, c)
+            fixed += 1
+    assert fixed == 115 + 7225 + 2 * (194 + 194)
 
 
 def test_congruence_filters_match_oracle():
