@@ -18,9 +18,9 @@ from . import duality, filtration, hplus_witness, residuated
 from .errors import FormatError, SizeError, SplitbenchError
 from .lattice import FinLattice, all_splitting_pairs
 from .poset import (DEFAULT_UPSET_CAP, DoublePointedPoset, FinPoset,
-                    MAX_POSET_SIZE, bits, build_poset, find_tails,
-                    is_connected, is_fence, order_isolated, power_chain,
-                    relation_rows, searrow)
+                    MAX_POSET_SIZE, bits, find_tails, is_connected,
+                    is_fence, order_isolated, power_chain, relation_rows,
+                    searrow, transitive_closure)
 
 SCHEMA = 1
 
@@ -87,11 +87,13 @@ def poset_from_json(obj, max_size: int) -> tuple[FinPoset, int | None, int | Non
     le = obj.get("le", [])
     if not isinstance(le, list):
         raise FormatError("le is not a list")
+    rows = [1 << i for i in range(size)]
     for k, pair in enumerate(le):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"le[{k}] is not a pair")
         _check_elements(pair, size, f"le[{k}][{{}}]")
-    p = build_poset(size, le)
+        rows[pair[0]] |= 1 << pair[1]
+    p = FinPoset(transitive_closure(rows))
     bot, top = obj.get("bot"), obj.get("top")
     for name, v in (("bot", bot), ("top", top)):
         if v is not None:
@@ -368,8 +370,8 @@ def _cmd_hwitness(args):
            "delta_power_nonempty": value != 0,
            "delta_power_value": sorted(bits(value))}
     if args.check_onto:
-        out["never_maps_onto"] = hplus_witness.never_maps_onto_check(
-            x, y, args.n + 2, budget=args.budget)
+        out["never_maps_onto"] = duality.never_maps_onto(
+            w.carrier.poset, x.poset, budget=args.budget)
     _emit(out)
     return 0 if value != 0 else 2
 

@@ -217,8 +217,8 @@ def si_structure(alg, sig) -> SiStructure:
     # the bottom is always delta-fixed; the monolith generator is the
     # largest fixed point below 1, which exists iff their join stays below 1
     m = alg.bottom
-    for x in elements:
-        if x != alg.one and sig.delta(alg, x) == x:
+    for x, k in _delta_indices(alg, sig).items():
+        if k == 0 and x != alg.one:
             m = alg.join(m, x)
     if m == alg.one:
         return SiStructure(False)
@@ -276,7 +276,7 @@ def _delta_indices(alg, sig) -> dict:
     delta^(k+1)(x), or None where the delta orbit cycles without a fixed
     point.  An injective homomorphism preserves it exactly.  Computed on
     first use and kept in alg's ``_plans`` under ``("delta", tag)``; it
-    serves sources and targets alike."""
+    serves sources and targets alike.  0 marks the delta-fixed elements."""
     key = ("delta", sig.tag)
     index = alg._plans.get(key)
     if index is not None:
@@ -508,8 +508,9 @@ def in_hs(a, b, sig) -> bool:
     if a.size == 1:
         return True    # the quotient by the total congruence
     prod, elements = getattr(b, sig.product), list(b.elements)
+    index = _delta_indices(b, sig)
     classes = {g: len({prod(g, x) for x in elements})
-               for g in elements if sig.delta(b, g) == g}
+               for g in elements if index[g] == 0}
     for g in sorted(classes, key=classes.get, reverse=True):
         if classes[g] < a.size:
             break
@@ -570,12 +571,12 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             if small else "")
     report = WitnessReport("cirl", a.size, exempt=False, note=note)
     n = info.depth
-    built_for = None
+    exp = None
     for i in range(i_max + 1):
-        # only the witness search depends on i; the rest depends on need
+        # only the witness search depends on i; an expansion deep enough
+        # for need is kept, as expand_to_depth(a, need) would return it
         need = max(n + 1, 2 ** i + 1)
-        if need != built_for:
-            built_for = need
+        if exp is None or exp.depth < need:
             exp = expand_to_depth(a, need)
             e = exp.algebra
             p = _first_prime_at_least(e.size)
@@ -641,7 +642,7 @@ def _first_prime_at_least(n: int) -> int:
 
 def _witness_suite_order(a, i_max, sig) -> WitnessReport:
     from .duality import _as_up_set_algebra, never_maps_onto
-    from .hplus_witness import (build_witness_algebra, diagram_final_check_on,
+    from .hplus_witness import (build_witness_algebra, diagram_final_check,
                                 fence_for_target)
 
     sig.require(a)
@@ -660,7 +661,7 @@ def _witness_suite_order(a, i_max, sig) -> WitnessReport:
     report = WitnessReport(sig.tag, a.size, exempt=False, note="")
     for i in range(i_max + 1):
         w = build_witness_algebra(x, fence, i)
-        value = diagram_final_check_on(a, w, sig.tag)
+        value = diagram_final_check(w, sig.tag, a)
         not_onto = never_maps_onto(w.carrier.poset, x.poset)
         carrier = w.carrier.size
         report.entries.append(WitnessEntry(

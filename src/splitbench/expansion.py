@@ -8,12 +8,13 @@ lattice through the Galois closure of a nuclear relation.
 from dataclasses import dataclass
 from operator import or_
 
+from .diagram import CIRL, FibreQuotient, search_embedding
 from .errors import AxiomError, BadParameter, NotSI, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, relation_rows
 from .residuated import (CIRLTable, MonolithInfo, check_monoid, derive_arrow,
-                         is_isomorphic, monolith_info, preimage_masks,
-                         quotient, validate_cirl)
+                         monolith_info, preimage_masks, quotient,
+                         validate_cirl)
 
 # each round roughly doubles the algebra, and building a round grows
 # steeply with its monoid's size; past this size the round is refused
@@ -212,7 +213,7 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
 
     Each round is checked against its contract: the result is SI, its
     depth at least doubles, the monolith restricts to the base's, and
-    the quotient by the monolith is isomorphic to the base's.
+    the quotient by the monolith is isomorphic to the base's, built once.
     """
     info = monolith_info(base)
     if not info.is_si:
@@ -220,7 +221,7 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
     alg = base
     emb = list(range(base.size))
     rounds = 0
-    q_prev = None   # the quotient of alg by its monolith, once built
+    q_base = quotient(base, info.mu_filter).algebra if info.depth < k else None
     while info.depth < k:
         prev, prev_info = alg, info
         step = expand_once(alg, prev_info.coatom)
@@ -232,27 +233,21 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
             raise AxiomError("expansion lost subdirect irreducibility")
         if info.depth < 2 * prev_info.depth:
             raise AxiomError("expansion did not double the monolith depth")
-        q_prev = _check_monolith_restricts(prev, prev_info, q_prev, step,
-                                           info)
+        _check_monolith_restricts(prev, prev_info, q_base, step, info)
     return ExpansionResult(alg, emb, rounds, info)
 
 
-def _check_monolith_restricts(prev: CIRLTable, prev_info, q_old,
-                              step: LpResult, info) -> CIRLTable:
-    """Monolith filter of the expansion meets the base in the base's.
-
-    ``q_old`` is prev's quotient by its monolith, or None to build it
-    here; the expansion's quotient is returned, to serve as the next
-    round's ``q_old``.
+def _check_monolith_restricts(prev: CIRLTable, prev_info, q_base: CIRLTable,
+                              step: LpResult, info) -> None:
+    """Monolith filter of the expansion meets the base in the base's, and
+    its quotient g·E (``FibreQuotient``, g the monolith bottom) is
+    isomorphic to ``q_base``: a bijective homomorphism is an isomorphism.
     """
     restricted = sorted(e for e in range(prev.size)
                         if info.mu_filter & (1 << step.embedding[e]))
     expected = sorted(bits(prev_info.mu_filter))
     if restricted != expected:
         raise AxiomError("monolith does not restrict to the base monolith")
-    q_new = quotient(step.algebra, info.mu_filter).algebra
-    if q_old is None:
-        q_old = quotient(prev, prev_info.mu_filter).algebra
-    if not is_isomorphic(q_new, q_old):
+    q = FibreQuotient(step.algebra, CIRL, info.mu_bottom)
+    if q.size != q_base.size or search_embedding(q_base, q, CIRL) is None:
         raise AxiomError("quotient by the monolith changed under expansion")
-    return q_new

@@ -156,27 +156,23 @@ def u_map(w: WitnessAlgebra, a: int) -> int:
     return copy_union(w.copies, a)
 
 
-def diagram_final_check(w: WitnessAlgebra, sig) -> int:
+def diagram_final_check(w: WitnessAlgebra, sig,
+                        source: UpSetAlgebra | None = None) -> int:
     """Evaluate the diagram of Up(x) under the copy-union assignment.
 
     Asserts the closed forms of the diagram value (the whole copy block
     for the coarrow signature, the block minus the cone of its top for
     the dual-pseudocomplement one) and returns the n-fold delta of the
-    value, which must be nonempty.  Up(x) is built here; a caller that
-    holds it calls ``diagram_final_check_on``.
-    """
-    return diagram_final_check_on(up_set_algebra(w.x.poset), w, sig)
-
-
-def diagram_final_check_on(source: UpSetAlgebra, w: WitnessAlgebra,
-                           sig) -> int:
-    """``diagram_final_check`` with Up(x) given as ``source``, an up-set
-    algebra over ``w.x.poset``.  Its compiled diagram and pseudocomplement
-    memos then serve every witness built over the same x.
+    value, which must be nonempty.  ``source`` is Up(x), an up-set algebra
+    over ``w.x.poset``, built here when None; a caller that holds it
+    passes it, and its compiled diagram and pseudocomplement memos then
+    serve every witness built over the same x.
     """
     sig = get_signature(sig)
     if sig.tag not in ("hplus", "dheyting"):
         raise BadParameter("signature must be hplus or dheyting")
+    if source is None:
+        source = up_set_algebra(w.x.poset)
     diagram = build_diagram(source, sig)
     values = tuple(u_map(w, a) for a in diagram.variables)
     big = w.algebra

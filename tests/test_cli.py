@@ -474,6 +474,18 @@ def test_glued_carriers_keep_the_builder_cap(tmp_path, capsys):
     assert "poset size 26 exceeds cap 24" in captured.err
 
 
+def test_max_poset_raises_the_cap_on_input_posets(tmp_path, capsys):
+    chain26 = write(tmp_path, "c26.json",
+                    {"kind": "poset", "size": 26,
+                     "le": [[i, i + 1] for i in range(25)]})
+    code, out = run_cli(capsys, "--max-poset", "26", "analyze", chain26)
+    assert code == 0 and out["size"] == 26 and out["height"] == 25
+    assert cli.run(["--max-poset", "25", "analyze", chain26]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "poset size 26 exceeds cap 25" in captured.err
+
+
 def test_witness_refuses_tables_without_the_operations(tmp_path, capsys):
     up = up_set_algebra(build_poset(4, [(0, 1), (2, 1), (2, 3)]))
     tables = {kind: cli.upalgebra_to_json(up, kind)

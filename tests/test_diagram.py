@@ -492,6 +492,62 @@ def test_witness_suite_hplus_fence():
         assert entry.excluded is True
 
 
+def _recorded(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records (args, result)."""
+    fn = getattr(module, name)
+    calls = []
+
+    def wrapper(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_cirl_suite_expands_only_when_too_shallow(monkeypatch):
+    # C2 and C3 need a deeper expansion at i = 1 and 2, and at i = 2;
+    # the expansion of C4 built for i = 0 already serves i = 2
+    from splitbench import expansion
+
+    calls = _recorded(monkeypatch, expansion, "expand_to_depth")
+    for n, count in ((2, 3), (3, 2), (4, 1)):
+        calls.clear()
+        rep = witness_suite(wajsberg_hoop(n), 2, CIRL)
+        assert len(calls) == count, n
+    monkeypatch.undo()
+    # expand_to_depth stops at the first round deep enough, so the
+    # expansion held is the one a rebuild for each i would return
+    a = wajsberg_hoop(4)
+    (_, held), = calls
+    for entry in rep.entries:
+        fresh = expansion.expand_to_depth(a, max(4, 2 ** entry.i + 1))
+        assert fresh.algebra.mul == held.algebra.mul
+        assert fresh.algebra.arrow == held.algebra.arrow
+        assert fresh.algebra.lattice.poset.up == held.algebra.lattice.poset.up
+        assert fresh.embedding == held.embedding
+        assert entry.detail["expansion_size"] == fresh.algebra.size
+        assert entry.detail["expansion_depth"] == fresh.depth
+        assert entry.delta_witness_found and entry.excluded is True
+
+
+def test_order_suite_checks_each_witness_against_its_own_source(
+        monkeypatch):
+    # each index's final check gets the suite's Up(x), compiled once
+    from splitbench import diagram, hplus_witness
+
+    checks = _recorded(monkeypatch, hplus_witness, "diagram_final_check")
+    compiled = _recorded(monkeypatch, diagram, "TermDiagram")
+    f4 = up_set_algebra(build_poset(4, [(0, 1), (2, 1), (2, 3)]))
+    rep = witness_suite(f4, 1, HPLUS)
+    assert len(checks) == 2
+    assert all(args[2] is f4 for args, _ in checks)
+    assert [args[0].n for args, _ in checks] == [0, 1]
+    assert len(compiled) == 1 and f4._plans["hplus"] is compiled[0][1]
+    assert all(e.delta_witness_found and e.excluded for e in rep.entries)
+
+
 def test_cirl_and_order_tables_are_one_table_algebra():
     # a hoop is the TableAlgebra of kind cirl: mult and res read its mul
     # and arrow tables, meet and join its lattice's

@@ -5,7 +5,7 @@ import pytest
 from conftest import (all_lattices, enumerate_cirls, oracle_frame_basic,
                       oracle_lp_arrow)
 from splitbench import expansion
-from splitbench.errors import BadParameter, SizeError
+from splitbench.errors import AxiomError, BadParameter, SizeError
 from splitbench.expansion import (ExpandedMonoid, NuclearFrame,
                                   build_expansion_monoid,
                                   expand_once, expand_to_depth, gamma_closure,
@@ -181,6 +181,30 @@ def test_expansion_contracts_on_every_small_si_base():
         q_new = quotient(step.algebra, new.mu_filter).algebra
         q_old = quotient(a, info.mu_filter).algebra
         assert is_isomorphic(q_new, q_old)
+
+
+def test_round_check_compares_the_quotient_with_the_base_s():
+    # a round's quotient by its monolith is checked against the base's:
+    # the right quotient passes, and a CIRL of the same size that is not
+    # isomorphic to it is refused, so sizes alone do not decide
+    chains3 = [c for lat in all_lattices(3) if lat.size == 3
+               for c in enumerate_cirls(lat)]
+    assert len(chains3) == 2        # C3 and the three-element Goedel chain
+    checked = 0
+    for base in _expansion_bases():
+        info = monolith_info(base)
+        q = quotient(base, info.mu_filter).algebra
+        if q.size != 3:
+            continue
+        step = expand_once(base)
+        new = monolith_info(step.algebra)
+        expansion._check_monolith_restricts(base, info, q, step, new)
+        other = next(c for c in chains3 if not is_isomorphic(c, q))
+        with pytest.raises(AxiomError, match="^quotient by the monolith "
+                                             "changed under expansion$"):
+            expansion._check_monolith_restricts(base, info, other, step, new)
+        checked += 1
+    assert checked == 8
 
 
 def test_expand_to_depth():
