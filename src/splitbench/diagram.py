@@ -558,7 +558,7 @@ def witness_suite(a, i_max: int, sig) -> WitnessReport:
 
 
 def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
-    from .expansion import expand_to_depth
+    from .expansion import expansion_tower
     from .residuated import monolith_info, truncated_product, wajsberg_hoop
 
     sig.require(a)
@@ -571,13 +571,14 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             if small else "")
     report = WitnessReport("cirl", a.size, exempt=False, note=note)
     n = info.depth
-    exp = None
+    tower = expansion_tower(a)
+    exp = next(tower)
     for i in range(i_max + 1):
-        # only the witness search depends on i; an expansion deep enough
-        # for need is kept, as expand_to_depth(a, need) would return it
+        # only the witness search depends on i; the one tower advances to
+        # the first round deep enough for need, as expand_to_depth would
         need = max(n + 1, 2 ** i + 1)
-        if exp is None or exp.depth < need:
-            exp = expand_to_depth(a, need)
+        if exp.depth < need:
+            exp = next(r for r in tower if r.depth >= need)
             e = exp.algebra
             p = _first_prime_at_least(e.size)
             hoop = wajsberg_hoop(p + 1)

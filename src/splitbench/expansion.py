@@ -7,6 +7,7 @@ lattice through the Galois closure of a nuclear relation.
 
 from dataclasses import dataclass
 from operator import or_
+from typing import Iterator
 
 from .diagram import CIRL, FibreQuotient, search_embedding
 from .errors import AxiomError, BadParameter, NotSI, SizeError
@@ -100,10 +101,11 @@ class NuclearFrame:
 
     Basic closed sets are materialised once, as the masks {x : u*x <= s}
     of ``preimage_masks`` on row u cut to the base elements s; the Galois
-    closure of any subset is then the meet of the basic sets containing it.
+    closure of any subset is then the meet of the basic sets containing it,
+    kept in ``_closures`` by subset mask once computed.
     """
 
-    __slots__ = ("monoid", "basic")
+    __slots__ = ("monoid", "basic", "_closures")
 
     def __init__(self, monoid: ExpandedMonoid):
         self.monoid = monoid
@@ -111,6 +113,7 @@ class NuclearFrame:
         base_n = monoid.base.size
         self.basic = [m for row in monoid.mul
                       for m in preimage_masks(covers, row)[:base_n]]
+        self._closures = {}
 
 
 def build_expansion_monoid(base: CIRLTable, c: int | None = None) -> ExpandedMonoid:
@@ -125,13 +128,18 @@ def build_expansion_monoid(base: CIRLTable, c: int | None = None) -> ExpandedMon
 
 
 def gamma_closure(frame: NuclearFrame, z: int) -> int:
-    """Intersection of the basic closed sets containing z."""
+    """Intersection of the basic closed sets containing z, kept per frame;
+    a mask with bits outside the monoid is refused on every call."""
+    out = frame._closures.get(z)
+    if out is not None:
+        return out
     out = (1 << frame.monoid.size) - 1
     for m in frame.basic:
         if not (z & ~m):
             out &= m
     if z & ~out:
         raise AxiomError("closure is not extensive")
+    frame._closures[z] = out
     return out
 
 
@@ -208,12 +216,11 @@ def expand_once(base: CIRLTable, c: int | None = None) -> LpResult:
     return lp_algebra(NuclearFrame(build_expansion_monoid(base, c)))
 
 
-def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
-    """Iterate the expansion until the monolith depth reaches k.
-
-    Each round is checked against its contract: the result is SI, its
-    depth at least doubles, the monolith restricts to the base's, and
-    the quotient by the monolith is isomorphic to the base's, built once.
+def expansion_tower(base: CIRLTable) -> Iterator[ExpansionResult]:
+    """Round 0, the base, then each expansion round, checked against its
+    contract: the result is SI, its depth at least doubles, the monolith
+    restricts to the previous round's, and the quotient by the monolith
+    is isomorphic to the base's, built once, just before round 1.
     """
     info = monolith_info(base)
     if not info.is_si:
@@ -221,8 +228,9 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
     alg = base
     emb = list(range(base.size))
     rounds = 0
-    q_base = quotient(base, info.mu_filter).algebra if info.depth < k else None
-    while info.depth < k:
+    yield ExpansionResult(alg, emb, rounds, info)
+    q_base = quotient(base, info.mu_filter).algebra
+    while True:
         prev, prev_info = alg, info
         step = expand_once(alg, prev_info.coatom)
         alg = step.algebra
@@ -234,7 +242,12 @@ def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
         if info.depth < 2 * prev_info.depth:
             raise AxiomError("expansion did not double the monolith depth")
         _check_monolith_restricts(prev, prev_info, q_base, step, info)
-    return ExpansionResult(alg, emb, rounds, info)
+        yield ExpansionResult(alg, emb, rounds, info)
+
+
+def expand_to_depth(base: CIRLTable, k: int) -> ExpansionResult:
+    """The first round of ``expansion_tower(base)`` of depth at least k."""
+    return next(r for r in expansion_tower(base) if r.depth >= k)
 
 
 def _check_monolith_restricts(prev: CIRLTable, prev_info, q_base: CIRLTable,

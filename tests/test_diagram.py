@@ -507,20 +507,22 @@ def _recorded(monkeypatch, module, name):
 
 
 def test_cirl_suite_expands_only_when_too_shallow(monkeypatch):
-    # C2 and C3 need a deeper expansion at i = 1 and 2, and at i = 2;
-    # the expansion of C4 built for i = 0 already serves i = 2
+    # the suite advances one expansion tower, so each round runs once:
+    # C2 needs depth 2, 3 and 5 (rounds of depth 2, 4 and 8), C3 needs
+    # 3 and 5 (depth 4 and 8), and C4's first round, of depth 6, serves
+    # every i up to 2
     from splitbench import expansion
 
-    calls = _recorded(monkeypatch, expansion, "expand_to_depth")
+    rounds = _recorded(monkeypatch, expansion, "expand_once")
     for n, count in ((2, 3), (3, 2), (4, 1)):
-        calls.clear()
+        rounds.clear()
         rep = witness_suite(wajsberg_hoop(n), 2, CIRL)
-        assert len(calls) == count, n
+        assert len(rounds) == count, n
     monkeypatch.undo()
-    # expand_to_depth stops at the first round deep enough, so the
-    # expansion held is the one a rebuild for each i would return
+    # the tower stops at the first round deep enough, so C4's one round
+    # is the expansion a fresh expand_to_depth for each i returns
     a = wajsberg_hoop(4)
-    (_, held), = calls
+    (_, held), = rounds
     for entry in rep.entries:
         fresh = expansion.expand_to_depth(a, max(4, 2 ** entry.i + 1))
         assert fresh.algebra.mul == held.algebra.mul

@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -6,10 +7,10 @@ from conftest import (all_lattices, enumerate_cirls, oracle_frame_basic,
                       oracle_lp_arrow)
 from splitbench import expansion
 from splitbench.errors import AxiomError, BadParameter, SizeError
-from splitbench.expansion import (ExpandedMonoid, NuclearFrame,
-                                  build_expansion_monoid,
-                                  expand_once, expand_to_depth, gamma_closure,
-                                  lp_algebra)
+from splitbench.expansion import (ExpandedMonoid, LpResult, NuclearFrame,
+                                  build_expansion_monoid, expand_once,
+                                  expand_to_depth, expansion_tower,
+                                  gamma_closure, lp_algebra)
 from splitbench.lattice import FinLattice
 from splitbench.poset import FinPoset, bits, popcount
 from splitbench.residuated import (is_isomorphic, monolith_info, quotient,
@@ -205,6 +206,111 @@ def test_round_check_compares_the_quotient_with_the_base_s():
             expansion._check_monolith_restricts(base, info, other, step, new)
         checked += 1
     assert checked == 8
+
+
+def test_gamma_closure_is_kept_per_frame():
+    # every subset of the first-round frames of C2-C5, asked twice, is
+    # the meet of the basic sets above it and is kept once
+    for n in range(2, 6):
+        frame = NuclearFrame(build_expansion_monoid(wajsberg_hoop(n)))
+        size = frame.monoid.size
+        assert size <= 9
+        full = (1 << size) - 1
+        for z in range(1 << size):
+            meet = full
+            for m in frame.basic:
+                if not z & ~m:
+                    meet &= m
+            assert gamma_closure(frame, z) == meet
+            assert gamma_closure(frame, z) == meet
+        assert len(frame._closures) == 1 << size
+        # a bit outside the monoid is refused every time, and not kept
+        outside = 1 << size
+        for _ in range(2):
+            with pytest.raises(AxiomError, match="^closure is not "
+                                                 "extensive$"):
+                gamma_closure(frame, outside)
+        assert outside not in frame._closures
+        assert len(frame._closures) == 1 << size
+
+
+def _one_round(monkeypatch, step):
+    """Make the next expansion round return ``step``; a round after it
+    means the check under test let ``step`` through."""
+    steps = iter([step])
+
+    def fake(base, c):
+        return next(steps)
+
+    monkeypatch.setattr(expansion, "expand_once", fake)
+
+
+def test_round_checks_refuse_a_broken_round(monkeypatch):
+    c2 = wajsberg_hoop(2)
+    prod, _ = c2x2()
+    _one_round(monkeypatch, LpResult(prod, [], [0, 1], 0))
+    with pytest.raises(AxiomError, match="^expansion lost subdirect "
+                                         "irreducibility$"):
+        expand_to_depth(c2, 2)
+    _one_round(monkeypatch, LpResult(c2, [], [0, 1], 0))
+    with pytest.raises(AxiomError, match="^expansion did not double the "
+                                         "monolith depth$"):
+        expand_to_depth(c2, 2)
+    # a real round whose embedding sends a's monolith bottom to the
+    # round's bottom, outside the round's monolith filter
+    checked = 0
+    for base in _expansion_bases():
+        info = monolith_info(base)
+        if quotient(base, info.mu_filter).algebra.size != 3:
+            continue
+        monkeypatch.undo()
+        step = expand_once(base)
+        emb = list(step.embedding)
+        emb[info.mu_bottom] = step.algebra.bottom
+        _one_round(monkeypatch, LpResult(step.algebra, step.closed_sets, emb,
+                                         step.d_element))
+        with pytest.raises(AxiomError, match="^monolith does not restrict "
+                                             "to the base monolith$"):
+            expand_to_depth(base, info.depth + 1)
+        checked += 1
+    assert checked == 8
+
+
+def _same_round(res, alg, emb):
+    assert res.algebra.mul == alg.mul
+    assert res.algebra.arrow == alg.arrow
+    assert res.algebra.lattice.poset.up == alg.lattice.poset.up
+    assert res.embedding == emb
+
+
+def test_rounds_and_depth_follow_one_tower():
+    # round r of the tower is r unchecked rounds of expand_once, as
+    # `expand --rounds r` runs them, on C2-C6 for r <= 3 and on every
+    # small SI CIRL for r <= 2
+    bases = [(wajsberg_hoop(n), 3) for n in range(2, 7)] + \
+        [(b, 2) for b in _expansion_bases()[:-6]]
+    assert len(bases) == 5 + 35
+    for base, r_max in bases:
+        alg, emb = base, list(range(base.size))
+        for r, res in enumerate(islice(expansion_tower(base), r_max + 1)):
+            if r:
+                step = expand_once(alg)
+                alg, emb = step.algebra, [step.embedding[e] for e in emb]
+            assert res.rounds == r
+            _same_round(res, alg, emb)
+    # and `expand --depth k` is the tower's first round of depth >= k
+    for n in range(2, 7):
+        base = wajsberg_hoop(n)
+        tower = []
+        for res in expansion_tower(base):
+            tower.append(res)
+            if res.depth >= 16:
+                break
+        for k in range(1, 17):
+            first = next(res for res in tower if res.depth >= k)
+            res = expand_to_depth(base, k)
+            assert res.rounds == first.rounds and res.depth == first.depth
+            _same_round(res, first.algebra, first.embedding)
 
 
 def test_expand_to_depth():
