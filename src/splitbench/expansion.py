@@ -13,9 +13,9 @@ from .diagram import CIRL, FibreQuotient, search_embedding
 from .errors import AxiomError, BadParameter, NotSI, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, relation_rows
-from .residuated import (CIRLTable, MonolithInfo, check_monoid, derive_arrow,
+from .residuated import (CIRLTable, MonolithInfo, check_monoid,
                          monolith_info, preimage_masks, quotient,
-                         validate_cirl)
+                         residual_of)
 
 # each round roughly doubles the algebra, and building a round grows
 # steeply with its monoid's size; past this size the round is refused
@@ -192,7 +192,9 @@ def lp_algebra(frame: NuclearFrame) -> LpResult:
         for x in bits(mi):
             prods = list(map(or_, prods, images[x]))
         mul.append([index[gamma_closure(frame, p)] for p in prods])
-    alg = validate_cirl(lat, mul, derive_arrow(lat, mul))
+    poset = lat.poset
+    check_monoid(poset.up, poset.covers(), mul, lat.one)
+    alg = CIRLTable(lat, mul, residual_of(lat, mul))
     if closed[alg.one] != gamma_closure(frame, 1 << base.one):
         raise AxiomError("unit of the closure algebra is not gamma(1)")
 

@@ -1,5 +1,6 @@
 import pytest
 
+import itertools
 import re
 from functools import cache
 
@@ -579,3 +580,97 @@ def test_embedding_preserves_operations():
                     assert got[a.res(x, y)] == b.res(got[x], got[y])
                     assert got[a.meet(x, y)] == b.meet(got[x], got[y])
                     assert got[a.join(x, y)] == b.join(got[x], got[y])
+
+
+def test_truncated_product_refuses_an_index_outside_its_factor():
+    # c indexes the left factor and q the right one; a negative index is
+    # refused, not read from the end
+    c3, c4 = wajsberg_hoop(3), wajsberg_hoop(4)
+    for kw, message in (({"c": -1}, "c = -1 is not an element index below 3"),
+                        ({"c": 5}, "c = 5 is not an element index below 3"),
+                        ({"q": -1}, "q = -1 is not an element index below 4"),
+                        ({"q": 4}, "q = 4 is not an element index below 4")):
+        with pytest.raises(BadParameter, match=f"^{message}$"):
+            truncated_product(c3, c4, **kw)
+    assert truncated_product(c3, c4, c=2, q=3).size == 2
+
+
+def test_truncated_products_pass_every_cirl_law(monkeypatch):
+    # truncated_product takes the product's monoid laws from its
+    # factors'; every product the tests and the CIRL witness suites
+    # build passes the full check
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(truncated_product(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(residuated, "truncated_product", record)
+    # a suite at i_max 2 builds the products of i_max 0 and 1 on its way,
+    # since it advances one expansion tower
+    for n in range(2, 7):
+        diagram.witness_suite(wajsberg_hoop(n), 2, CIRL)
+    hoops = len(built)
+    refused = 0
+    for a in _si_family()[:-5]:  # the 35 SI CIRLs, without the hoops
+        try:
+            diagram.witness_suite(a, 1, CIRL)
+        except SizeError:
+            refused += 1
+    suites = len(built)
+    built += [got for got, _ in _products()]
+    for p in built:
+        validate_cirl(p.lattice, p.mul, p.arrow)
+    assert (hoops, suites - hoops, refused, len(built)) == \
+        (8, 51, 1, 8 + 51 + 1600)
+
+
+def _unit_tables(lat):
+    # every commutative table on lat with unit the top
+    n, one = lat.size, lat.one
+    rest = [x for x in range(n) if x != one]
+    slots = [(x, y) for k, x in enumerate(rest) for y in rest[k:]]
+    for values in itertools.product(range(n), repeat=len(slots)):
+        mul = [[x if y == one else y if x == one else None
+                for y in range(n)] for x in range(n)]
+        for (x, y), v in zip(slots, values):
+            mul[x][y] = mul[y][x] = v
+        yield mul
+
+
+def test_residual_of_matches_validate_cirl():
+    # check_monoid then residual_of gives validate_cirl's table, or its
+    # message, on the single-cell mul mutations of the 9- and 13-element
+    # products and on the monotone commutative unit tables of the
+    # lattices of size <= 4
+    shape = FinLattice(build_poset(5, [(0, 1), (0, 2), (1, 3), (2, 3),
+                                       (3, 4)]))
+    nonchain = next(c for c in enumerate_cirls(shape)
+                    if monolith_info(c).is_si)
+    cases = []
+    for a in (truncated_product(wajsberg_hoop(3), wajsberg_hoop(5)),
+              truncated_product(nonchain, wajsberg_hoop(4))):
+        cases += [(a.lattice, obj["mul"]) for obj in
+                  single_cell_mutations(algebra_to_json(a, "cirl"), ("mul",))]
+    for lat in all_lattices(4):
+        cases += [(lat, mul) for mul in _unit_tables(lat)
+                  if _monotone(lat, mul)]
+
+    def derived(lat, mul):
+        poset = lat.poset
+        check_monoid(poset.up, poset.covers(), mul, lat.one)
+        assert residuated.residual_of(lat, mul) == derive_arrow(lat, mul)
+
+    outcomes = {}
+    for lat, mul in cases:
+        got = _outcome(derived, lat, mul)
+        want = _outcome(validate_cirl, lat, mul, derive_arrow(lat, mul))
+        assert got == want, (lat.poset.up, mul)
+        law = got and got.split(" fails")[0]
+        outcomes[law] = outcomes.get(law, 0) + 1
+    # the 15 lattice tables give 11 CIRLs; every residuation failure is a
+    # cell derive_arrow left empty, the only place residual_of checks
+    assert len(cases) == 9 * 9 * 8 + 13 * 13 * 12 + 15
+    assert outcomes == {None: 11, "unit law": 436, "commutativity": 2032,
+                        "associativity": 128, "monotonicity": 75,
+                        "residuation": 9}
