@@ -44,7 +44,9 @@ def _read_json(path: str) -> dict:
         else:
             with open(path) as fh:
                 obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSON and UTF-8 decode errors and the int digit
+        # limit; RecursionError a nesting too deep for the parser
         raise FormatError(str(exc)) from None
     if not isinstance(obj, dict):
         raise FormatError("top-level JSON value is not an object")
@@ -260,17 +262,17 @@ def _cmd_hoop(args):
 
 
 def _cmd_expand(args):
-    from .expansion import expand_once, expand_to_depth
+    from .expansion import expand_to_depth, expansion_tower
 
     alg = algebra_from_json(_read_json(args.file))
     if alg.kind != "cirl":
         raise FormatError("expand needs a cirl algebra")
+    # both forms walk the tower, so every round printed passed its contract
     if args.rounds is not None:
-        for _ in range(args.rounds):
-            alg = expand_once(alg).algebra
+        step = next(r for r in expansion_tower(alg) if r.rounds == args.rounds)
     else:
-        alg = expand_to_depth(alg, args.depth).algebra
-    _emit(algebra_to_json(alg, "cirl"))
+        step = expand_to_depth(alg, args.depth)
+    _emit(algebra_to_json(step.algebra, "cirl"))
     return 0
 
 

@@ -423,7 +423,11 @@ def embedding_by_diagram(a, b, sig):
     homomorphism out of an SI algebra has a trivial kernel, and an
     injective one sends the monolith bottom away from h(1) = 1, so the
     search is the embedding search; it tries values in the same order
-    and finds the same map.
+    and finds the same map.  Its map is not evaluated again: ``search_hom``
+    sends each constant to b's and checks every conjunct x*y = r at the
+    rank that places the last of its variables, so each iff of the
+    diagram compares a value with itself, and v -> v = 1 in all three
+    signatures.
     """
     sig = get_signature(sig)
     d = build_diagram(a, sig)
@@ -432,10 +436,7 @@ def embedding_by_diagram(a, b, sig):
     hom = search_hom(a, b, sig)
     if hom is None:
         return None
-    asg = Assignment(b, tuple(hom[e] for e in d.variables))
-    if eval_diagram(d, asg) != b.one:
-        raise SignatureMismatch("diagram value is not 1 on a homomorphism")
-    return asg
+    return Assignment(b, tuple(hom[e] for e in d.variables))
 
 
 def delta_power_witness(a, b, i: int, sig, candidates=()):

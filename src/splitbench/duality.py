@@ -494,12 +494,11 @@ def _as_up_set_algebra(alg) -> UpSetAlgebra:
 
     Any finite algebra on a distributive lattice is isomorphic to one of
     these, so only the carrier representation changes.  Up-set
-    algebras are returned as they are.
+    algebras are returned as they are.  The size is not checked again:
+    ``dual_poset`` refuses a lattice that is not distributive, and a
+    finite distributive lattice L has |Up(J(L))| = |L| (Birkhoff).
     """
     if isinstance(alg, UpSetAlgebra):
         return alg
     base, _ = dual_poset(alg.lattice)
-    rebuilt = up_set_algebra(base)
-    if rebuilt.size != alg.size:
-        raise BadParameter("carrier is not the up-set lattice of its dual")
-    return rebuilt
+    return up_set_algebra(base)

@@ -20,10 +20,11 @@ class CIRLTable(TableAlgebra):
     ``TableAlgebra`` of kind ``cirl``, whose ``mul`` and ``arrow`` tables
     are read by ``mult`` and ``res``.
 
-    The multiplicative unit is the lattice top (integrality).  Instances
-    are expected to come from validate_cirl or from the constructors in
-    this module, all of which check the laws (``truncated_product`` its
-    monoid laws by proof).
+    The multiplicative unit is the lattice top (integrality).  A table
+    read from outside the program comes through validate_cirl, which
+    checks every law; a table that the package builds carries the proof
+    of its laws in its constructor's docstring, and the tests cross-check
+    it with validate_cirl, so it is not checked again at run time.
     """
 
     def __init__(self, lattice: FinLattice, mul, arrow):
@@ -89,8 +90,7 @@ def check_monoid(up, covers, mul, one: int) -> None:
     x, y and each g of a generating set, here ``generators`` (the unit
     law covers ``one``), compared as whole rows.  Monotonicity reads only
     the cover pairs, since the order is transitive.  If either law fails,
-    the first x whose rows break one is found by comparing the rows of
-    every (x, y), and the (y, z) scan names the first failing triple.
+    the (x, y, z) scan names the first failing triple.
     """
     n = len(up)
     for x in range(n):
@@ -110,10 +110,6 @@ def check_monoid(up, covers, mul, one: int) -> None:
                 for mx, up_mx in zip(mul, ups) for y, z in covers):
         return
     for x, (mx, up_mx) in enumerate(zip(mul, ups)):
-        if all(mul[v] == list(map(mx.__getitem__, my))
-               for v, my in zip(mx, mul)) and \
-                all(up_mx[y] >> mx[z] & 1 for y, z in covers):
-            continue
         for y in range(n):
             mxy, my, up_y, up_mxy = mul[mx[y]], mul[y], up[y], up_mx[y]
             for z in range(n):
@@ -222,7 +218,7 @@ def derive_arrow(lattice: FinLattice, mul):
     ``validate_cirl`` checks monotonicity before it reads residuation.
     The callers of ``residual_of`` rely on monotonicity by proof:
     ``truncated_product`` from its factors' laws, and
-    ``expansion.lp_algebra`` from the ``check_monoid`` it runs first.
+    ``expansion.lp_algebra`` from the residuated frame of its monoid.
     """
     poset = lattice.poset
     covers = poset.covers()
@@ -248,16 +244,20 @@ def residual_of(lattice: FinLattice, mul):
 def wajsberg_hoop(n: int) -> CIRLTable:
     """The n-element chain of powers of its coatom, with clipped exponents.
 
-    Element i is the i-th power of the coatom, so 0 is the unit and n-1
-    the bottom; exponents add and clip at n-1, and the residual
-    subtracts and clips at 0.
+    Element i is the i-th power c^i of the coatom, so 0 is the unit and
+    n-1 the bottom; exponents add and clip at n-1, and the residual
+    subtracts and clips at 0.  The laws hold by proof and are not
+    checked: min(n-1, a+b) is commutative, associative and monotone
+    (larger exponents are lower), with unit 0, the top.  For x = c^a,
+    y = c^b and z = c^e, x*z <= y iff min(n-1, a+e) >= b iff a+e >= b
+    (as b <= n-1) iff e >= max(0, b-a), so the residual is c^max(0, b-a).
     """
     if n < 2:
         raise BadParameter("hoop needs at least two elements")
     lat = FinLattice(FinPoset(relation_rows(n, lambda i, j: j <= i)))
     mul = [[min(n - 1, a + b) for b in range(n)] for a in range(n)]
     arrow = [[max(0, b - a) for b in range(n)] for a in range(n)]
-    return validate_cirl(lat, mul, arrow)
+    return CIRLTable(lat, mul, arrow)
 
 
 def congruence_filters(alg: CIRLTable) -> list[int]:
@@ -376,6 +376,11 @@ def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
     g*x = g*y, the class of x is below that of y iff g*x <= g*y, and g*x
     lies in the class of x: the classes and their order are read off row
     g of ``mul``, numbered by their first element.
+
+    Only the filter mask, the caller's input, is checked.  CIRLs form a
+    variety, so the quotient by a congruence is a CIRL, and its tables
+    are its operations on the representatives g*x: they are not checked
+    again (the lattice's order still is, by ``FinLattice``).
     """
     lat = alg.lattice
     if not 0 < filter_mask <= lat.poset.all_mask or \
@@ -390,8 +395,7 @@ def quotient(alg: CIRLTable, filter_mask: int) -> Quotient:
             for x in reps]
     mul = [[proj[alg.mul[x][y]] for y in reps] for x in reps]
     arrow = [[proj[alg.arrow[x][y]] for y in reps] for x in reps]
-    return Quotient(validate_cirl(FinLattice(FinPoset(rows)), mul, arrow),
-                    proj)
+    return Quotient(CIRLTable(FinLattice(FinPoset(rows)), mul, arrow), proj)
 
 
 def is_isomorphic(a: CIRLTable, b: CIRLTable) -> bool:

@@ -5,15 +5,16 @@ import time
 
 import pytest
 
-from conftest import (all_posets, oracle_coarrow_law, oracle_order_laws,
-                      single_cell_mutations)
+from conftest import (all_posets, boolean_lattice, oracle_coarrow_law,
+                      oracle_order_laws, single_cell_mutations)
 from splitbench import cli, residuated
 from splitbench.diagram import KINDS, TableAlgebra
 from splitbench.duality import up_set_algebra
 from splitbench.errors import AxiomError, SplitbenchError
+from splitbench.expansion import expand_once
 from splitbench.lattice import FinLattice
 from splitbench.poset import build_poset, is_connected
-from splitbench.residuated import truncated_product, wajsberg_hoop
+from splitbench.residuated import derive_arrow, truncated_product, wajsberg_hoop
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +130,22 @@ def test_malformed_input_exits_three(tmp_path, capsys, obj, command, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_files_the_json_parser_refuses_exit_three(tmp_path, capsys):
+    # raw bytes: nesting past the recursion limit, a byte that is not
+    # UTF-8, and an integer past the digit limit
+    for name, data, message in (
+            ("deep.json", b"[" * 200_000 + b"]" * 200_000, "recursion"),
+            ("latin1.json", b'{"kind": "pos\xe9t"}', "utf-8"),
+            ("digits.json", b'{"size": ' + b"9" * 5000 + b"}", "digits")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli.run(["validate", str(path)]) == 3, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("error: "), name
+        assert message in captured.err, name
+
+
 def test_usage_errors_and_bad_caps_exit_three(capsys, monkeypatch):
     with pytest.raises(SystemExit) as stop:
         cli.run(["hoop"])
@@ -169,6 +186,27 @@ def test_hoop_expand_pipeline(tmp_path, capsys):
     assert code == 0 and out["size"] == 5
     code, out = run_cli(capsys, "expand", path, "--rounds", "2")
     assert code == 0 and out["size"] == 9
+
+
+def test_expand_prints_the_rounds_of_the_checked_tower(tmp_path, capsys):
+    # --rounds k prints round k of the tower: k plain rounds of expand_once
+    for n in range(2, 6):
+        path = write(tmp_path, f"c{n}.json",
+                     cli.algebra_to_json(wajsberg_hoop(n), "cirl"))
+        alg = wajsberg_hoop(n)
+        for k in range(3):
+            code, out = run_cli(capsys, "expand", path, "--rounds", str(k))
+            assert code == 0 and out == cli.algebra_to_json(alg, "cirl")
+            alg = expand_once(alg).algebra
+    # every form refuses a base that is not SI with the tower's message
+    b2 = boolean_lattice(2)
+    path = write(tmp_path, "b2.json", cli.algebra_to_json(
+        residuated.CIRLTable(b2, b2.meet, derive_arrow(b2, b2.meet)), "cirl"))
+    for form in (["--rounds", "0"], ["--rounds", "1"], ["--depth", "0"]):
+        assert cli.run(["expand", path, *form]) == 1, form
+        captured = capsys.readouterr()
+        assert captured.out == "", form
+        assert captured.err == "invalid: expansion target must be SI\n", form
 
 
 def test_truncprod(tmp_path, capsys):

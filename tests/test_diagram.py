@@ -153,6 +153,8 @@ def test_search_hom_matches_rescanning_oracle():
             assert asg is None
         else:
             assert asg.values == tuple(hom[e] for e in a.elements)
+            # not evaluated when it is found: the map meets every conjunct
+            assert eval_diagram(build_diagram(a, sig), asg) == b.one
         found += got is not None
     assert len(cases) == 35 * 35 + 7 * 7 + 2 * 5 * 24 and found
 

@@ -8,7 +8,8 @@ from conftest import (all_lattices, all_posets, antichain, chain, crown4,
                       vee)
 from splitbench import cli
 from splitbench.duality import (CONGRUENCE_CAP, PosetMap, UpSetAlgebra,
-                                birkhoff_map, classify_algebra, classify_map,
+                                _as_up_set_algebra, birkhoff_map,
+                                classify_algebra, classify_map,
                                 dp_congruences, dual_poset,
                                 enumerate_morphisms, generate_subalgebra,
                                 katrinak_arrow, never_maps_onto,
@@ -402,6 +403,8 @@ def test_varlet_report_survives_dp_json_round_trip():
         alg = up_set_algebra(p)
         table = cli.algebra_from_json(cli.upalgebra_to_json(alg, "dp"))
         assert varlet_report(table) == varlet_report(alg), repr(p)
+        # Birkhoff: the rebuild's size is not checked when it is made
+        assert _as_up_set_algebra(table).size == table.size, repr(p)
 
 
 def test_dp_congruences_input_contract():

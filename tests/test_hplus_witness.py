@@ -11,8 +11,8 @@ from splitbench.hplus_witness import (build_witness_algebra, chi, chi_plus,
                                       fence_for_target, make_fence,
                                       never_maps_onto_check, u_map)
 from splitbench.poset import (DoublePointedPoset, bits, build_poset,
-                              enumerate_up_sets, find_tails, is_fence,
-                              popcount, power_chain, searrow)
+                              enumerate_up_sets, find_tails, is_connected,
+                              is_fence, popcount, power_chain, searrow)
 
 
 def dp(poset, bot, top):
@@ -149,6 +149,8 @@ def test_diagram_final_check_closed_forms():
         for y in (dp(chain(2), 0, 1), dp(fence(4), 2, 1)):
             for n in (0, 1):
                 w = build_witness_algebra(x, y, n)
+                # connected by construction, not checked when it is built
+                assert is_connected(w.carrier.poset)
                 for sig in ("dheyting", "hplus"):
                     value = diagram_final_check(w, sig)
                     assert value != 0

@@ -1,6 +1,8 @@
 import pytest
 
+import ast
 import itertools
+import pathlib
 import re
 from functools import cache
 
@@ -405,6 +407,10 @@ def test_hoop_arithmetic():
     assert c2.mul[1][1] == 1 and c2.res(1, 0) == 0
     with pytest.raises(BadParameter):
         wajsberg_hoop(1)
+    # the hoop's laws hold by proof and are not checked when it is built
+    for n in range(2, 73):
+        cn = wajsberg_hoop(n)
+        validate_cirl(cn.lattice, cn.mul, cn.arrow)
 
 
 def test_potency_matches_power_oracle():
@@ -674,3 +680,37 @@ def test_residual_of_matches_validate_cirl():
     assert outcomes == {None: 11, "unit law": 436, "commutativity": 2032,
                         "associativity": 128, "monotonicity": 75,
                         "residuation": 9}
+
+
+def _readers(names):
+    """For each name, the (module, enclosing definition) of every place
+    in the package's source that reads it."""
+    found = {name: set() for name in names}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if name in found and isinstance(child.ctx, ast.Load):
+                found[name].add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(pathlib.Path(residuated.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
+def test_law_checks_run_only_on_tables_from_outside():
+    # a table read from outside the program is validated by the loader;
+    # a table the package builds carries the proof of its laws, which the
+    # tests cross-check, and is not checked again at run time
+    readers = _readers(("validate_cirl", "validate_order_algebra",
+                        "check_monoid", "eval_diagram"))
+    loader = {("cli", "algebra_from_json")}
+    assert readers["validate_cirl"] == loader
+    assert readers["validate_order_algebra"] == loader
+    assert readers["check_monoid"] == {("residuated", "validate_cirl"),
+                                       ("expansion", "ExpandedMonoid.__init__")}
+    assert ("diagram", "embedding_by_diagram") not in readers["eval_diagram"]
