@@ -560,7 +560,8 @@ def witness_suite(a, i_max: int, sig) -> WitnessReport:
 
 def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
     from .expansion import expansion_tower
-    from .residuated import monolith_info, truncated_product, wajsberg_hoop
+    from .residuated import (ProductView, monolith_info, product_size,
+                             wajsberg_hoop)
 
     sig.require(a)
     info = monolith_info(a)
@@ -582,9 +583,12 @@ def _witness_suite_cirl(a, i_max, sig) -> WitnessReport:
             exp = next(r for r in tower if r.depth >= need)
             e = exp.algebra
             p = _first_prime_at_least(e.size)
+            # e is SI, so its cone below the coatom is all of e but 1, and
+            # the hoop's cone below its coatom, its first power, has p
+            # elements: the cap is tested before the hoop is built
+            product_size(e.size - 1, p)
             hoop = wajsberg_hoop(p + 1)
-            # the hoop's coatom is its first power
-            big = truncated_product(e, hoop, exp.info.coatom, 1)
+            big = ProductView(e, hoop, exp.info.coatom, 1)
             w = _canonical_tuple(a, e, exp.embedding, hoop, big)
             excluded = None if small else not in_hs(a, big, sig)
         witness = delta_power_witness(a, big, i, sig, candidates=[w])

@@ -8,10 +8,11 @@ from .errors import AxiomError, BadParameter, NotACongruenceFilter, SizeError
 from .lattice import FinLattice
 from .poset import FinPoset, bits, popcount, relation_rows
 
-# past this size a truncated product is refused; building one grows
-# about cubically with its size: the 256-element product of the hoops
-# C16 and C18 takes 0.05 s, 1,025 elements 1.3 s and 1,601 elements
-# 4.5 s (CPython 3.11 on a 2-CPU x86-64 machine)
+# past this size a truncated product is refused, as a table and in the
+# witness suite alike (``product_size``); building the table grows about
+# cubically with its size: the 256-element product of the hoops C16 and
+# C18 takes 0.05 s, 1,025 elements 1.3 s and 1,601 elements 4.5 s
+# (CPython 3.11 on a 2-CPU x86-64 machine)
 PRODUCT_CAP = 256
 
 
@@ -298,6 +299,17 @@ def monolith_info(alg: CIRLTable) -> MonolithInfo:
     return MonolithInfo(True, coatom, mu, si.mu_bottom, depth)
 
 
+def product_size(cone_a: int, cone_b: int) -> int:
+    """The size of the truncated product of cones of ``cone_a`` and
+    ``cone_b`` elements: their pairs and the shared top.  A size past
+    PRODUCT_CAP raises SizeError."""
+    size = cone_a * cone_b + 1
+    if size > PRODUCT_CAP:
+        raise SizeError(f"truncated product of {size} elements exceeds "
+                        f"cap {PRODUCT_CAP}")
+    return size
+
+
 def truncated_product(a: CIRLTable, b: CIRLTable,
                       c: int | None = None, q: int | None = None) -> CIRLTable:
     """Product of the cones below c and q, plus a fresh shared top.
@@ -332,10 +344,7 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
     if c == a.one or q == b.one:
         raise BadParameter("c and q must be strictly negative")
     nb = popcount(b.lattice.poset.down[q])
-    size = popcount(a.lattice.poset.down[c]) * nb + 1
-    if size > PRODUCT_CAP:
-        raise SizeError(f"truncated product of {size} elements exceeds "
-                        f"cap {PRODUCT_CAP}")
+    product_size(popcount(a.lattice.poset.down[c]), nb)
 
     def side(alg, g, scale):
         # the cone below g: its up rows, and mul on it as cone indices
@@ -360,6 +369,84 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
            for i in range(top)]
     mul.append(list(range(top + 1)))
     return CIRLTable(lat, mul, residual_of(lat, mul))
+
+
+class ProductView:
+    """``truncated_product(a, b, c, q)`` as a view, as ``FibreQuotient``
+    is a view of a quotient: the same elements, numbered the same way,
+    with every operation computed from the factors' tables in O(1).  It
+    holds no lattice and no table of its own, and the constructor's work
+    is linear in the size; the cap is the caller's (``product_size``).
+
+    Element k is the pair (xa[k], xb[k]).  The pair (x, u) of cone
+    elements is rank(x in ascending down[c]) * |down[q]| + rank(u in
+    ascending down[q]), and the top, the pair (1, 1) of the factors'
+    units, is last.  ``code_a[x] + code_b[u]`` numbers a pair back; it
+    puts 1 of a at the top and 1 of b at 0, so it is right whenever x and
+    u are both cone elements or both units.
+
+    The factors come checked (``CIRLTable``), and the operations hold by
+    proof, with no law checked again; below, & is the meet and | the
+    join.  The order is componentwise: 1 lies above each cone and not in
+    it, so the top is above every pair and below none.  Meet, join and
+    product are the factors', componentwise.  Each cone is a down-set
+    closed under all three (x | y <= c, and x * y <= x), and in each
+    factor 1 is the identity of meet and product and absorbs join; so
+    each result is two cone elements or two units, and the top is the
+    identity of meet and product and absorbs join.  The residual takes
+    the four cases of comparability.  i -> top = top, as every product
+    lies below the top; top -> j = j, as top * z = z.  For pairs
+    i = (x, u), j = (y, v) and z = (s, t), i * z <= j iff s <= x -> y
+    and t <= u -> v, iff s <= c & (x -> y) and t <= q & (u -> v), since
+    s <= c and t <= q; and i * top = i <= j iff x <= y and u <= v.  So
+    if x <= y and u <= v every z qualifies and i -> j is the top, and
+    otherwise it is (c & (x -> y), q & (u -> v)), where c & 1 = c.
+    """
+
+    kind = "cirl"
+
+    def __init__(self, a: CIRLTable, b: CIRLTable, c: int, q: int):
+        cone_a = list(bits(a.lattice.poset.down[c]))
+        cone_b = list(bits(b.lattice.poset.down[q]))
+        nb = len(cone_b)
+        top = len(cone_a) * nb
+        xa = [x for x in cone_a for _ in cone_b] + [a.one]
+        xb = cone_b * len(cone_a) + [b.one]
+        code_a, code_b = [None] * a.size, [None] * b.size
+        for k, x in enumerate(cone_a):
+            code_a[x] = k * nb
+        for k, u in enumerate(cone_b):
+            code_b[u] = k
+        code_a[a.one], code_b[b.one] = top, 0
+        self.size = top + 1
+        self.one = top
+        self.bottom = code_a[a.bottom] + code_b[b.bottom]
+        self.elements = range(top + 1)
+        self._plans = {}
+        up_a, up_b = a.lattice.poset.up, b.lattice.poset.up
+        self.leq = lambda i, j: bool(up_a[xa[i]] >> xa[j] & 1
+                                     and up_b[xb[i]] >> xb[j] & 1)
+        for name, ta, tb in (("meet", a.lattice.meet, b.lattice.meet),
+                             ("join", a.lattice.join, b.lattice.join),
+                             ("mult", a.mul, b.mul)):
+            setattr(self, name, lambda i, j, ta=ta, tb=tb:
+                    code_a[ta[xa[i]][xa[j]]] + code_b[tb[xb[i]][xb[j]]])
+        # the meets c & r and q & r, numbered back, for each residual r
+        clip_a = [code_a[m] for m in a.lattice.meet[c]]
+        clip_b = [code_b[m] for m in b.lattice.meet[q]]
+        arrow_a, arrow_b, one_a, one_b = a.arrow, b.arrow, a.one, b.one
+
+        def res(i, j):
+            if j == top:
+                return top
+            if i == top:
+                return j
+            r, s = arrow_a[xa[i]][xa[j]], arrow_b[xb[i]][xb[j]]
+            if r == one_a and s == one_b:
+                return top
+            return clip_a[r] + clip_b[s]
+
+        self.res = res
 
 
 @dataclass

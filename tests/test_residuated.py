@@ -19,13 +19,13 @@ from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter, SizeError)
 from splitbench.lattice import FinLattice
 from splitbench.poset import bits, build_poset, popcount
-from splitbench.diagram import (CIRL, DHEYTING, HPLUS, in_hs,
-                                search_embedding)
+from splitbench.diagram import (CIRL, DHEYTING, HPLUS, delta_power_witness,
+                                in_hs, search_embedding)
 from splitbench.duality import up_set_algebra
 from splitbench import diagram, residuated
-from splitbench.residuated import (check_monoid, congruence_filters,
-                                   derive_arrow, generators,
-                                   is_isomorphic,
+from splitbench.residuated import (ProductView, check_monoid,
+                                   congruence_filters, derive_arrow,
+                                   generators, is_isomorphic,
                                    monolith_info, quotient,
                                    truncated_product, validate_cirl,
                                    wajsberg_hoop)
@@ -183,6 +183,55 @@ def test_truncated_product_matches_oracle():
     for got, want in _products():
         assert got.lattice.poset.up == want.lattice.poset.up
         assert (got.mul, got.arrow) == (want.mul, want.arrow)
+
+
+def _assert_view_is_table(view, table):
+    # every operation of the view against the table, a whole row at a time
+    assert (view.size, view.one, view.bottom) == \
+        (table.size, table.one, table.bottom)
+    lat, elements = table.lattice, range(table.size)
+    for i in elements:
+        for fn, row in ((view.leq, [lat.leq(i, j) for j in elements]),
+                        (view.meet, lat.meet[i]), (view.join, lat.join[i]),
+                        (view.mult, table.mul[i]), (view.res, table.arrow[i])):
+            assert [fn(i, j) for j in elements] == row, (fn, i)
+
+
+def test_product_view_matches_truncated_product():
+    # the view computes each operation from the factors' tables, and its
+    # residual by the four cases of comparability; the table takes its
+    # residual from residual_of's scan
+    family = _si_family()
+    coatoms = [monolith_info(a).coatom for a in family]
+    views = [ProductView(a, b, c, q) for a, c in zip(family, coatoms)
+             for b, q in zip(family, coatoms)]
+    assert len(views) == len(_products()) == 1600
+    for view, (table, _) in zip(views, _products()):
+        _assert_view_is_table(view, table)
+
+
+def test_searches_on_the_view_match_the_table():
+    # in_hs and the exhaustive delta-power search read only operations,
+    # so they answer alike on a product's view and on its table
+    hoops = [wajsberg_hoop(n) for n in range(2, 6)]
+    # each hoop's coatom is its first power
+    pairs = [(ProductView(a, b, 1, 1), truncated_product(a, b))
+             for a in hoops for b in hoops]
+    cases = found = searched = witnessed = 0
+    for view, table in pairs:
+        for a in _si_family():
+            got = in_hs(a, view, CIRL)
+            assert got == in_hs(a, table, CIRL), (a.mul, table.mul)
+            cases += 1
+            found += got
+            if a.size <= 3:
+                values = [None if w is None else w.values for w in
+                          (delta_power_witness(a, b, 0, CIRL)
+                           for b in (view, table))]
+                assert values[0] == values[1], (a.mul, table.mul)
+                searched += 1
+                witnessed += values[0] is not None
+    assert (cases, found, searched, witnessed) == (640, 64, 80, 77)
 
 
 def test_quotient_matches_oracle():
@@ -588,6 +637,23 @@ def test_embedding_preserves_operations():
                     assert got[a.join(x, y)] == b.join(got[x], got[y])
 
 
+def test_witness_suite_tests_the_cap_before_it_builds_the_hoop(monkeypatch):
+    # the C5 x C5 product's expansion would be glued to a 54-element hoop
+    # in a 2651-element product, a size known before the hoop is built
+    source = truncated_product(wajsberg_hoop(5), wajsberg_hoop(5))
+    hoops = []
+
+    def record(n):
+        hoops.append(n)
+        return wajsberg_hoop(n)
+
+    monkeypatch.setattr(residuated, "wajsberg_hoop", record)
+    with pytest.raises(SizeError, match="^truncated product of 2651 "
+                                        "elements exceeds cap 256$"):
+        diagram.witness_suite(source, 0, CIRL)
+    assert hoops == []
+
+
 def test_truncated_product_refuses_an_index_outside_its_factor():
     # c indexes the left factor and q the right one; a negative index is
     # refused, not read from the end
@@ -603,27 +669,32 @@ def test_truncated_product_refuses_an_index_outside_its_factor():
 
 def test_truncated_products_pass_every_cirl_law(monkeypatch):
     # truncated_product takes the product's monoid laws from its
-    # factors'; every product the tests and the CIRL witness suites
-    # build passes the full check
-    built = []
+    # factors'; every product the tests build passes the full check, and
+    # so does the table of every view the CIRL witness suites build, which
+    # agrees with the view on every operation
+    views = []
 
-    def record(*args, **kwargs):
-        built.append(truncated_product(*args, **kwargs))
-        return built[-1]
+    def record(*args):
+        views.append((args, ProductView(*args)))
+        return views[-1][1]
 
-    monkeypatch.setattr(residuated, "truncated_product", record)
+    monkeypatch.setattr(residuated, "ProductView", record)
     # a suite at i_max 2 builds the products of i_max 0 and 1 on its way,
     # since it advances one expansion tower
     for n in range(2, 7):
         diagram.witness_suite(wajsberg_hoop(n), 2, CIRL)
-    hoops = len(built)
+    hoops = len(views)
     refused = 0
     for a in _si_family()[:-5]:  # the 35 SI CIRLs, without the hoops
         try:
             diagram.witness_suite(a, 1, CIRL)
         except SizeError:
             refused += 1
-    suites = len(built)
+    suites = len(views)
+    built = []
+    for args, view in views:
+        built.append(truncated_product(*args))
+        _assert_view_is_table(view, built[-1])
     built += [got for got, _ in _products()]
     for p in built:
         validate_cirl(p.lattice, p.mul, p.arrow)
@@ -714,3 +785,15 @@ def test_law_checks_run_only_on_tables_from_outside():
     assert readers["check_monoid"] == {("residuated", "validate_cirl"),
                                        ("expansion", "ExpandedMonoid.__init__")}
     assert ("diagram", "embedding_by_diagram") not in readers["eval_diagram"]
+
+
+def test_witness_suite_builds_no_product_table():
+    # the CIRL witness suite evaluates a ProductView of the expansion and
+    # the hoop; neither the suite nor the view builds a product table, a
+    # lattice or a residual scan
+    names = ("truncated_product", "FinLattice", "FinPoset", "residual_of",
+             "derive_arrow")
+    for name, places in _readers(names).items():
+        assert ("diagram", "_witness_suite_cirl") not in places, name
+        assert not {scope for module, scope in places if module ==
+                    "residuated" and scope.startswith("ProductView")}, name
