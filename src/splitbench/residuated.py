@@ -9,10 +9,10 @@ from .lattice import FinLattice
 from .poset import FinPoset, bits, popcount, relation_rows
 
 # past this size a truncated product is refused, as a table and in the
-# witness suite alike (``product_size``); building the table grows about
-# cubically with its size: the 256-element product of the hoops C16 and
-# C18 takes 0.05 s, 1,025 elements 1.3 s and 1,601 elements 4.5 s
-# (CPython 3.11 on a 2-CPU x86-64 machine)
+# witness suite alike (``product_size``); building the table grows a
+# little faster than the square of its size: the 256-element product of
+# the hoops C16 and C18 takes 0.06-0.10 s, 1,025 elements 1.3-1.7 s and
+# 1,601 elements 3.8-4.0 s (CPython 3.11 on a 2-CPU x86-64 machine)
 PRODUCT_CAP = 256
 
 
@@ -217,9 +217,8 @@ def derive_arrow(lattice: FinLattice, mul):
     has a maximum m iff it is down[m], as in ``FinLattice``.  On other
     tables a maximum of a set that is not a down-set is missed, so
     ``validate_cirl`` checks monotonicity before it reads residuation.
-    The callers of ``residual_of`` rely on monotonicity by proof:
-    ``truncated_product`` from its factors' laws, and
-    ``expansion.lp_algebra`` from the residuated frame of its monoid.
+    The caller of ``residual_of``, ``expansion.lp_algebra``, relies on
+    monotonicity by proof, from the residuated frame of its monoid.
     """
     poset = lattice.poset
     covers = poset.covers()
@@ -312,20 +311,14 @@ def product_size(cone_a: int, cone_b: int) -> int:
 
 def truncated_product(a: CIRLTable, b: CIRLTable,
                       c: int | None = None, q: int | None = None) -> CIRLTable:
-    """Product of the cones below c and q, plus a fresh shared top.
+    """Product of the cones below c and q, plus a fresh shared top: the
+    table of ``ProductView(a, b, c, q)``.
 
     c and q default to the unique coatoms and must be element indices
     that are strictly negative; a product of more than PRODUCT_CAP
-    elements raises SizeError before any table is built.
-
-    The factors are CIRLs (``CIRLTable`` instances come checked), so the
-    product's monoid laws hold by proof and are not checked again.  Each
-    cone below c is a subsemigroup of a, because x * y <= x; so it is
-    commutative, associative and monotone.  The direct product of two
-    such semigroups is one too, componentwise.  A new top adjoined as the
-    identity keeps all three laws: every product with it is the other
-    factor, and below it x * y <= x = x * top.  The order is still
-    checked as a lattice, and residuation by ``residual_of``.
+    elements raises SizeError before any table is built.  The laws hold
+    by the proof in ``ProductView``'s docstring and are not checked
+    again; the order is still checked as a lattice.
     """
     for name, g, alg in (("c", c, a), ("q", q, b)):
         if g is not None and not 0 <= g < alg.size:
@@ -343,40 +336,23 @@ def truncated_product(a: CIRLTable, b: CIRLTable,
         q = info.coatom
     if c == a.one or q == b.one:
         raise BadParameter("c and q must be strictly negative")
-    nb = popcount(b.lattice.poset.down[q])
-    product_size(popcount(a.lattice.poset.down[c]), nb)
-
-    def side(alg, g, scale):
-        # the cone below g: its up rows, and mul on it as cone indices
-        # times scale; x * y <= x keeps products in the cone
-        cone = list(bits(alg.lattice.poset.down[g]))
-        pos = {x: k for k, x in enumerate(cone)}
-        up = [sum(1 << pos[y] for y in cone if alg.leq(x, y)) for x in cone]
-        return up, [[pos[alg.mul[x][y]] * scale for y in cone] for x in cone]
-
-    # the pair (x, y) of cone elements is element (index of x) * nb +
-    # (index of y), and the shared top is the last element
-    up_a, mul_a = side(a, c, nb)
-    up_b, mul_b = side(b, q, 1)
-    top = len(up_a) * nb
-    # the up row of (x, y) repeats y's row in the block of each element
-    # above x, and the top is above every element
-    blocks = [sum(1 << (k * nb) for k in bits(row)) for row in up_a]
-    rows = [block * row | 1 << top for block in blocks for row in up_b]
-    rows.append(1 << top)
-    lat = FinLattice(FinPoset(rows))
-    mul = [[s + t for s in mul_a[i // nb] for t in mul_b[i % nb]] + [i]
-           for i in range(top)]
-    mul.append(list(range(top + 1)))
-    return CIRLTable(lat, mul, residual_of(lat, mul))
+    product_size(popcount(a.lattice.poset.down[c]),
+                 popcount(b.lattice.poset.down[q]))
+    view = ProductView(a, b, c, q)
+    lat = FinLattice(FinPoset(relation_rows(view.size, view.leq)))
+    elements = view.elements
+    return CIRLTable(lat, [[view.mult(i, j) for j in elements]
+                           for i in elements],
+                     [[view.res(i, j) for j in elements] for i in elements])
 
 
 class ProductView:
-    """``truncated_product(a, b, c, q)`` as a view, as ``FibreQuotient``
-    is a view of a quotient: the same elements, numbered the same way,
-    with every operation computed from the factors' tables in O(1).  It
-    holds no lattice and no table of its own, and the constructor's work
-    is linear in the size; the cap is the caller's (``product_size``).
+    """The truncated product of the cones below c and q, plus a fresh
+    shared top, as a view, as ``FibreQuotient`` is a view of a quotient;
+    ``truncated_product(a, b, c, q)`` is its table.  Every operation is
+    computed from the factors' tables in O(1).  It holds no lattice and
+    no table of its own, and the constructor's work is linear in the
+    size; the cap is the caller's (``product_size``).
 
     Element k is the pair (xa[k], xb[k]).  The pair (x, u) of cone
     elements is rank(x in ascending down[c]) * |down[q]| + rank(u in
@@ -393,7 +369,10 @@ class ProductView:
     closed under all three (x | y <= c, and x * y <= x), and in each
     factor 1 is the identity of meet and product and absorbs join; so
     each result is two cone elements or two units, and the top is the
-    identity of meet and product and absorbs join.  The residual takes
+    identity of meet and product and absorbs join.  So the elements are
+    a sublattice and a submonoid of the direct product of a and b, and
+    the product is commutative, associative and monotone, with the top
+    as its unit, because the factors' products are.  The residual takes
     the four cases of comparability.  i -> top = top, as every product
     lies below the top; top -> j = j, as top * z = z.  For pairs
     i = (x, u), j = (y, v) and z = (s, t), i * z <= j iff s <= x -> y

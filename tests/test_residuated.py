@@ -178,9 +178,26 @@ def _products():
             for a in _si_family() for b in _si_family()]
 
 
+def _explicit_products():
+    # every strictly negative (c, q) of every ordered pair of the CIRLs
+    # of size 2 to 4, SI or not, and the hoops C2 to C4: the products of
+    # truncprod's --c and --q, built and by the oracle
+    family = [a for lat in all_lattices(4) if lat.size > 1
+              for a in enumerate_cirls(lat)]
+    assert len(family) == 10
+    family += [wajsberg_hoop(n) for n in range(2, 5)]
+    cases = [(a, b, c, q) for a in family for b in family
+             for c in range(a.size) if c != a.one
+             for q in range(b.size) if q != b.one]
+    return [(truncated_product(*args), oracle_truncated_product(*args))
+            for args in cases]
+
+
 def test_truncated_product_matches_oracle():
     assert len(_si_family()) == 40
-    for got, want in _products():
+    explicit = _explicit_products()
+    assert len(explicit) == 1024
+    for got, want in _products() + explicit:
         assert got.lattice.poset.up == want.lattice.poset.up
         assert (got.mul, got.arrow) == (want.mul, want.arrow)
 
@@ -199,15 +216,16 @@ def _assert_view_is_table(view, table):
 
 def test_product_view_matches_truncated_product():
     # the view computes each operation from the factors' tables, and its
-    # residual by the four cases of comparability; the table takes its
-    # residual from residual_of's scan
+    # residual by the four cases of comparability; truncated_product is
+    # the view's table, so the view is compared with the oracle's, which
+    # builds each pair through the algebras' methods and checks every law
     family = _si_family()
     coatoms = [monolith_info(a).coatom for a in family]
     views = [ProductView(a, b, c, q) for a, c in zip(family, coatoms)
              for b, q in zip(family, coatoms)]
     assert len(views) == len(_products()) == 1600
-    for view, (table, _) in zip(views, _products()):
-        _assert_view_is_table(view, table)
+    for view, (_, oracle) in zip(views, _products()):
+        _assert_view_is_table(view, oracle)
 
 
 def test_searches_on_the_view_match_the_table():
@@ -668,10 +686,10 @@ def test_truncated_product_refuses_an_index_outside_its_factor():
 
 
 def test_truncated_products_pass_every_cirl_law(monkeypatch):
-    # truncated_product takes the product's monoid laws from its
-    # factors'; every product the tests build passes the full check, and
-    # so does the table of every view the CIRL witness suites build, which
-    # agrees with the view on every operation
+    # truncated_product tabulates ProductView, whose laws hold by proof;
+    # every product the tests build passes the full check, and so does
+    # the table of every view the CIRL witness suites build, and each of
+    # those views agrees with the oracle on every operation
     views = []
 
     def record(*args):
@@ -691,10 +709,12 @@ def test_truncated_products_pass_every_cirl_law(monkeypatch):
         except SizeError:
             refused += 1
     suites = len(views)
+    # truncated_product builds a ProductView too: stop recording first
+    monkeypatch.undo()
     built = []
     for args, view in views:
+        _assert_view_is_table(view, oracle_truncated_product(*args))
         built.append(truncated_product(*args))
-        _assert_view_is_table(view, built[-1])
     built += [got for got, _ in _products()]
     for p in built:
         validate_cirl(p.lattice, p.mul, p.arrow)
@@ -793,7 +813,12 @@ def test_witness_suite_builds_no_product_table():
     # lattice or a residual scan
     names = ("truncated_product", "FinLattice", "FinPoset", "residual_of",
              "derive_arrow")
-    for name, places in _readers(names).items():
-        assert ("diagram", "_witness_suite_cirl") not in places, name
-        assert not {scope for module, scope in places if module ==
+    readers = _readers(names + ("ProductView",))
+    for name in names:
+        assert ("diagram", "_witness_suite_cirl") not in readers[name], name
+        assert not {scope for module, scope in readers[name] if module ==
                     "residuated" and scope.startswith("ProductView")}, name
+    # one product algorithm: truncated_product is the view's table, and
+    # the generic residual scan serves only the expansion's frame algebra
+    assert ("residuated", "truncated_product") in readers["ProductView"]
+    assert readers["residual_of"] == {("expansion", "lp_algebra")}
