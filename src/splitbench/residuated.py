@@ -357,9 +357,9 @@ class ProductView:
     Element k is the pair (xa[k], xb[k]).  The pair (x, u) of cone
     elements is rank(x in ascending down[c]) * |down[q]| + rank(u in
     ascending down[q]), and the top, the pair (1, 1) of the factors'
-    units, is last.  ``code_a[x] + code_b[u]`` numbers a pair back; it
-    puts 1 of a at the top and 1 of b at 0, so it is right whenever x and
-    u are both cone elements or both units.
+    units, is last.  ``pair(x, u)``, which is ``code_a[x] + code_b[u]``,
+    numbers a pair back; it puts 1 of a at the top and 1 of b at 0, so it
+    is right whenever x and u are both cone elements or both units.
 
     The factors come checked (``CIRLTable``), and the operations hold by
     proof, with no law checked again; below, & is the meet and | the
@@ -397,9 +397,10 @@ class ProductView:
         for k, u in enumerate(cone_b):
             code_b[u] = k
         code_a[a.one], code_b[b.one] = top, 0
+        self.pair = lambda x, u: code_a[x] + code_b[u]
         self.size = top + 1
         self.one = top
-        self.bottom = code_a[a.bottom] + code_b[b.bottom]
+        self.bottom = self.pair(a.bottom, b.bottom)
         self.elements = range(top + 1)
         self._plans = {}
         up_a, up_b = a.lattice.poset.up, b.lattice.poset.up

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from splitbench.diagram import _rank_order, get_signature
+from splitbench.diagram import (Assignment, _rank_order, build_diagram,
+                                eval_diagram, get_signature)
 from splitbench.lattice import FinLattice
 from splitbench.poset import (FinPoset, bits, build_poset, canonical_key,
                               enumerate_posets, is_connected, popcount,
@@ -13,7 +14,7 @@ from splitbench.residuated import (CIRLTable, MonolithInfo, Quotient,
                                    congruence_filters, derive_arrow,
                                    monolith_info, validate_cirl)
 from splitbench.errors import (AxiomError, BadParameter, NotACongruenceFilter,
-                               NotALattice, SplitbenchError)
+                               NotALattice, NotSI, SplitbenchError)
 
 
 # -- standard posets -------------------------------------------------------
@@ -359,6 +360,24 @@ def oracle_search_hom(a, b, sig, require_injective: bool,
         return None
 
     return rec(0, set())
+
+
+def oracle_delta_power_witness(a, b, i: int, sig):
+    """The first assignment, in lexicographic order of b's elements, whose
+    i-fold delta of the diagram's value is not below the monolith-bottom
+    variable, or None: every assignment, where ``delta_power_witness``
+    checks the one it is given."""
+    sig = get_signature(sig)
+    d = build_diagram(a, sig)
+    if d.mu is None:
+        raise NotSI("witness needs an SI source")
+    for values in itertools.product(list(b.elements), repeat=d.var_count):
+        val = eval_diagram(d, Assignment(b, values))
+        for _ in range(i):
+            val = sig.delta(b, val)
+        if not b.leq(val, values[d.mu]):
+            return Assignment(b, values)
+    return None
 
 
 def oracle_validate_cirl(lattice: FinLattice, mul, arrow) -> CIRLTable:

@@ -17,8 +17,7 @@ from conftest import (all_lattices, all_posets, antichain, chain,
 from splitbench.diagram import (CIRL, HPLUS, Assignment, build_diagram,
                                 embedding_by_diagram, eval_diagram,
                                 search_embedding, si_structure,
-                                _canonical_tuple, _first_prime_at_least,
-                                _pair_index)
+                                _canonical_tuple, _first_prime_at_least)
 from splitbench.duality import (UpSetAlgebra, birkhoff_map, classify_algebra,
                                 dual_poset, enumerate_morphisms,
                                 generate_subalgebra, katrinak_arrow,
@@ -37,8 +36,8 @@ from splitbench.poset import (DoublePointedPoset, FinPoset, bits, build_poset,
                               canonical_key, enumerate_posets,
                               enumerate_up_sets, find_tails, is_connected,
                               is_fence, popcount, power_chain, searrow)
-from splitbench.residuated import (congruence_filters, is_isomorphic,
-                                   monolith_info, quotient,
+from splitbench.residuated import (ProductView, congruence_filters,
+                                   is_isomorphic, monolith_info, quotient,
                                    truncated_product, validate_cirl,
                                    wajsberg_hoop)
 from splitbench.diagram import in_hs
@@ -154,11 +153,11 @@ def test_c05_witness_tuple():
             p = _first_prime_at_least(e.size)
             hoop = wajsberg_hoop(p + 1)
             big = truncated_product(e, hoop)
-            pair_of = _pair_index(e, hoop, big)
-            w = _canonical_tuple(a, e, exp.embedding, hoop, big)
+            view = ProductView(e, hoop, e_info.coatom, 1)
+            w = _canonical_tuple(a, exp.embedding, view)
             d = build_diagram(a, CIRL)
             value = eval_diagram(d, Assignment(big, w))
-            assert value == pair_of[(e_info.coatom, 1)], \
+            assert value == view.pair(e_info.coatom, 1), \
                 "diagram value is not the (coatom, q) pair"
             assert not in_hs(a, big, CIRL), \
                 "source embeds into a quotient of the glued product"

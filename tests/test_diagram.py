@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (all_lattices, all_posets, enumerate_cirls, oracle_in_hs,
+from conftest import (all_lattices, all_posets, enumerate_cirls,
+                      oracle_delta_power_witness, oracle_in_hs,
                       oracle_monolith_info, oracle_search_hom)
 from splitbench.cli import algebra_from_json, upalgebra_to_json
 from splitbench.diagram import (CIRL, DHEYTING, HPLUS, KINDS, Assignment,
@@ -192,7 +193,8 @@ def _not_si_sources():
 
 def test_not_si_sources_are_refused_fresh_and_compiled():
     refusals = (lambda a, sig: embedding_by_diagram(a, a, sig),
-                lambda a, sig: delta_power_witness(a, a, 0, sig))
+                lambda a, sig: delta_power_witness(a, a, 0, sig,
+                                                   tuple(a.elements)))
     for first in refusals:
         cases = _not_si_sources()
         for a, sig in cases:
@@ -293,17 +295,15 @@ def test_witness_at_large_power_gives_witness_at_small():
     c3 = wajsberg_hoop(3)
     c9 = wajsberg_hoop(9)
     for i in (0, 1, 2):
-        late = delta_power_witness(c3, c9, i + 1, CIRL)
+        late = oracle_delta_power_witness(c3, c9, i + 1, CIRL)
         if late is not None:
-            early = delta_power_witness(c3, c9, i, CIRL,
-                                        candidates=[late.values])
+            early = delta_power_witness(c3, c9, i, CIRL, late.values)
             assert early is not None and early.values == late.values
 
 
 def test_delta_power_witness_identity_case():
     c3 = wajsberg_hoop(3)
-    got = delta_power_witness(c3, c3, 0, CIRL,
-                              candidates=[tuple(c3.elements)])
+    got = delta_power_witness(c3, c3, 0, CIRL, tuple(c3.elements))
     assert got is not None and got.values == tuple(c3.elements)
 
 
@@ -419,10 +419,9 @@ def test_small_si_algebras_excluded_from_their_glued_products():
 
 def test_two_element_tuple_value():
     # the canonical pair computation for the two-element source
-    from splitbench.diagram import _canonical_tuple, _first_prime_at_least, \
-        _pair_index
+    from splitbench.diagram import _canonical_tuple, _first_prime_at_least
     from splitbench.expansion import expand_to_depth
-    from splitbench.residuated import truncated_product
+    from splitbench.residuated import ProductView, truncated_product
 
     c2 = wajsberg_hoop(2)
     exp = expand_to_depth(c2, 3)          # expansion of depth 4
@@ -430,13 +429,13 @@ def test_two_element_tuple_value():
     e_info = monolith_info(e)
     hoop = wajsberg_hoop(_first_prime_at_least(e.size) + 1)
     big = truncated_product(e, hoop)
-    pair_of = _pair_index(e, hoop, big)
-    w = _canonical_tuple(c2, e, exp.embedding, hoop, big)
-    assert w[c2.one] == pair_of[(e.one, hoop.one)]
-    assert w[1] == pair_of[(exp.embedding[1], 1)]
+    view = ProductView(e, hoop, e_info.coatom, 1)
+    w = _canonical_tuple(c2, exp.embedding, view)
+    assert w[c2.one] == view.pair(e.one, hoop.one) == big.one
+    assert w[1] == view.pair(exp.embedding[1], 1)
     d = build_diagram(c2, CIRL)
     value = eval_diagram(d, Assignment(big, w))
-    assert value == pair_of[(e_info.coatom, 1)]
+    assert value == view.pair(e_info.coatom, 1)
     # powers stay above the bottom variable strictly below the depth
     mu_pos = d.position(1)
     for k in range(1, exp.depth):
@@ -446,10 +445,9 @@ def test_two_element_tuple_value():
 def test_some_assignment_witnesses_the_depth_boundary():
     # the canonical tuple stops at the depth, but some assignment still
     # witnesses the depth power itself
-    from splitbench.diagram import _canonical_tuple, _first_prime_at_least, \
-        _pair_index, delta_power_witness
+    from splitbench.diagram import _canonical_tuple, _first_prime_at_least
     from splitbench.expansion import expand_to_depth
-    from splitbench.residuated import truncated_product
+    from splitbench.residuated import ProductView, truncated_product
 
     a = wajsberg_hoop(3)
     exp = expand_to_depth(a, 3)
@@ -457,7 +455,8 @@ def test_some_assignment_witnesses_the_depth_boundary():
     m = exp.depth
     hoop = wajsberg_hoop(_first_prime_at_least(e.size) + 1)
     big = truncated_product(e, hoop)
-    w = _canonical_tuple(a, e, exp.embedding, hoop, big)
+    view = ProductView(e, hoop, exp.info.coatom, 1)
+    w = _canonical_tuple(a, exp.embedding, view)
     d = build_diagram(a, CIRL)
     value = eval_diagram(d, Assignment(big, w))
     mu_pos = d.position(monolith_info(a).mu_bottom)

@@ -7,7 +7,7 @@ import re
 from functools import cache
 
 from conftest import (all_lattices, all_posets, chain, enumerate_cirls, m3,
-                      oracle_congruence_filters,
+                      oracle_congruence_filters, oracle_delta_power_witness,
                       oracle_derive_arrow, oracle_in_hs, oracle_monoid_laws,
                       oracle_monolith_info, oracle_quotient,
                       oracle_table_quotient,
@@ -19,8 +19,8 @@ from splitbench.errors import (AxiomError, BadParameter,
                                NotACongruenceFilter, SizeError)
 from splitbench.lattice import FinLattice
 from splitbench.poset import bits, build_poset, popcount
-from splitbench.diagram import (CIRL, DHEYTING, HPLUS, delta_power_witness,
-                                in_hs, search_embedding)
+from splitbench.diagram import (CIRL, DHEYTING, HPLUS, in_hs,
+                                search_embedding)
 from splitbench.duality import up_set_algebra
 from splitbench import diagram, residuated
 from splitbench.residuated import (ProductView, check_monoid,
@@ -218,19 +218,25 @@ def test_product_view_matches_truncated_product():
     # the view computes each operation from the factors' tables, and its
     # residual by the four cases of comparability; truncated_product is
     # the view's table, so the view is compared with the oracle's, which
-    # builds each pair through the algebras' methods and checks every law
+    # builds each pair through the algebras' methods and checks every law;
+    # pair numbers the cone pairs and the top in the oracle's order
     family = _si_family()
     coatoms = [monolith_info(a).coatom for a in family]
-    views = [ProductView(a, b, c, q) for a, c in zip(family, coatoms)
+    cases = [(a, b, c, q) for a, c in zip(family, coatoms)
              for b, q in zip(family, coatoms)]
+    views = [ProductView(*args) for args in cases]
     assert len(views) == len(_products()) == 1600
-    for view, (_, oracle) in zip(views, _products()):
+    for (a, b, c, q), view, (_, oracle) in zip(cases, views, _products()):
         _assert_view_is_table(view, oracle)
+        cone_a = bits(a.lattice.poset.down[c])
+        cone_b = list(bits(b.lattice.poset.down[q]))
+        assert [view.pair(x, u) for x in cone_a for u in cone_b] + \
+            [view.pair(a.one, b.one)] == list(range(view.size))
 
 
 def test_searches_on_the_view_match_the_table():
-    # in_hs and the exhaustive delta-power search read only operations,
-    # so they answer alike on a product's view and on its table
+    # in_hs and the exhaustive delta-power search of the oracle read only
+    # operations, so they answer alike on a product's view and its table
     hoops = [wajsberg_hoop(n) for n in range(2, 6)]
     # each hoop's coatom is its first power
     pairs = [(ProductView(a, b, 1, 1), truncated_product(a, b))
@@ -244,7 +250,7 @@ def test_searches_on_the_view_match_the_table():
             found += got
             if a.size <= 3:
                 values = [None if w is None else w.values for w in
-                          (delta_power_witness(a, b, 0, CIRL)
+                          (oracle_delta_power_witness(a, b, 0, CIRL)
                            for b in (view, table))]
                 assert values[0] == values[1], (a.mul, table.mul)
                 searched += 1
@@ -689,7 +695,8 @@ def test_truncated_products_pass_every_cirl_law(monkeypatch):
     # truncated_product tabulates ProductView, whose laws hold by proof;
     # every product the tests build passes the full check, and so does
     # the table of every view the CIRL witness suites build, and each of
-    # those views agrees with the oracle on every operation
+    # those views agrees with the oracle on every operation; each round
+    # is deep enough for its canonical tuple, so every entry has a witness
     views = []
 
     def record(*args):
@@ -699,16 +706,18 @@ def test_truncated_products_pass_every_cirl_law(monkeypatch):
     monkeypatch.setattr(residuated, "ProductView", record)
     # a suite at i_max 2 builds the products of i_max 0 and 1 on its way,
     # since it advances one expansion tower
-    for n in range(2, 7):
-        diagram.witness_suite(wajsberg_hoop(n), 2, CIRL)
+    reports = [diagram.witness_suite(wajsberg_hoop(n), 2, CIRL)
+               for n in range(2, 7)]
     hoops = len(views)
     refused = 0
     for a in _si_family()[:-5]:  # the 35 SI CIRLs, without the hoops
         try:
-            diagram.witness_suite(a, 1, CIRL)
+            reports.append(diagram.witness_suite(a, 1, CIRL))
         except SizeError:
             refused += 1
     suites = len(views)
+    assert all(entry.delta_witness_found
+               for report in reports for entry in report.entries)
     # truncated_product builds a ProductView too: stop recording first
     monkeypatch.undo()
     built = []
